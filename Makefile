@@ -127,11 +127,14 @@ bench:
 	$(GO) test -run 'BenchmarkNone' -bench . -benchmem ./...
 
 # The CI smoke subset: one iteration of the Fig. 8(a) figure runner and
-# the parallel materialize/answer sweeps.
+# the parallel materialize/answer sweeps, plus the snapshot-build kernel
+# (publish ns and B/op vs dirty fraction at 50k/200k, beside the
+# from-scratch build it replaces).
 bench-smoke:
 	$(GO) test -run 'BenchmarkNone' -bench 'Fig8a' -benchtime 1x ./...
 	$(GO) test -run 'BenchmarkNone' -bench 'MaterializeParallel|AnswerParallel' -benchtime 1x ./...
 	$(GO) test -run 'BenchmarkNone' -bench 'SimFrozen|AnswerFrozen' -benchtime 1x ./...
+	$(GO) test -run 'BenchmarkNone' -bench 'PublishDirtyFraction|PublishFromScratch' -benchtime 3x -benchmem ./internal/graph
 
 # The SCC-parallel MatchJoin fixpoint worker sweep on multi-SCC necklace
 # patterns. GOMAXPROCS=4 makes the speedup observable in CI even though
@@ -256,6 +259,7 @@ bench-wal-smoke:
 FUZZTIME ?= 15s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzRefreeze$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzEquivalentPreds$$' -fuzztime $(FUZZTIME) ./internal/pattern
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotManifest$$' -fuzztime $(FUZZTIME) ./internal/store

@@ -16,6 +16,7 @@ package graphviews_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	gv "graphviews"
@@ -111,5 +112,45 @@ func TestSteadyStateMatchJoinAllocs(t *testing.T) {
 	const bound = 150
 	if allocs > bound {
 		t.Fatalf("Engine.MatchJoin steady state allocates %.1f objects/op, bound %d", allocs, bound)
+	}
+}
+
+// TestSmallDeltaSnapshotAllocs pins what a publish builds after a small
+// edge delta: the two adjacency arrays and the two offset arrays of the
+// new CSR, plus a handful of small bookkeeping objects (the snapshot
+// struct, the dirty list, the memo). The label partition and the
+// attribute columns are shared with the previous snapshot, so both the
+// object count and the bytes stay at the size of the adjacency alone; a
+// from-scratch Freeze rebuilds those columns too, several times the
+// bytes.
+func TestSmallDeltaSnapshotAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under -race")
+	}
+	g := gv.GenerateYouTubeLike(8_000, 22_000, 3)
+	gv.Freeze(g)
+	var sink *gv.Frozen
+	publish := func() {
+		if !g.AddEdge(17, 4242) {
+			g.RemoveEdge(17, 4242)
+		}
+		sink = gv.Freeze(g)
+	}
+	publish()
+	allocs := testing.AllocsPerRun(20, publish)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	publish()
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	// 4-byte entries: two offset arrays of |V|+1, two adjacency arrays of |E|.
+	csr := uint64(4 * (2*(sink.NumNodes()+1) + 2*sink.NumEdges()))
+	t.Logf("small-delta Freeze: %.1f allocs/op, %d B/op (CSR arrays %d B)", allocs, bytes, csr)
+	if allocs > 16 {
+		t.Fatalf("small-delta Freeze allocates %.1f objects/op, bound 16", allocs)
+	}
+	if bytes > csr+csr/4 {
+		t.Fatalf("small-delta Freeze allocates %d B, more than the CSR arrays (%d B) plus slack: node columns rebuilt?", bytes, csr)
 	}
 }

@@ -35,23 +35,11 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
-// loadWorkload resolves the -graph/-views or -dataset flags into a
-// mutable graph and a validated view set.
-func loadWorkload(graphPath, viewsPath, dataset string, nodes, edges, labels int, seed int64) (*gv.Graph, *gv.ViewSet) {
+// loadViews resolves the -views or -dataset flags into a validated view
+// set. It never touches the data graph: a restart from a checkpoint
+// needs only this.
+func loadViews(graphPath, viewsPath, dataset string, labels int, seed int64) *gv.ViewSet {
 	if graphPath != "" {
-		f, err := os.Open(graphPath)
-		if err != nil {
-			fail("%v", err)
-		}
-		g, err := gv.ReadGraph(f)
-		// A Close error on a read path can mask a truncated read (e.g. a
-		// network filesystem flushing late); fold it into the load error.
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fail("%s: %v", graphPath, err)
-		}
 		if viewsPath == "" {
 			fail("-views is required with -graph")
 		}
@@ -67,20 +55,51 @@ func loadWorkload(graphPath, viewsPath, dataset string, nodes, edges, labels int
 		for i, p := range ps {
 			defs[i] = gv.Define("", p)
 		}
-		return g, gv.NewViewSet(defs...)
+		return gv.NewViewSet(defs...)
 	}
 	switch dataset {
 	case "youtube":
-		return gv.GenerateYouTubeLike(nodes, edges, seed), gv.YouTubeViews()
+		return gv.YouTubeViews()
 	case "amazon":
-		return gv.GenerateAmazonLike(nodes, edges, seed), gv.AmazonViews()
+		return gv.AmazonViews()
 	case "citation":
-		return gv.GenerateCitationLike(nodes, edges, seed), gv.CitationViews()
+		return gv.CitationViews()
 	case "uniform":
-		return gv.GenerateUniform(nodes, edges, labels, seed), gv.SyntheticViews(labels, seed)
+		return gv.SyntheticViews(labels, seed)
 	default:
 		fail("need -graph/-views or -dataset youtube|amazon|citation|uniform (got %q)", dataset)
-		return nil, nil
+		return nil
+	}
+}
+
+// loadGraph resolves the -graph or -dataset flags (already vetted by
+// loadViews) into a mutable graph.
+func loadGraph(graphPath, dataset string, nodes, edges, labels int, seed int64) *gv.Graph {
+	if graphPath != "" {
+		f, err := os.Open(graphPath)
+		if err != nil {
+			fail("%v", err)
+		}
+		g, err := gv.ReadGraph(f)
+		// A Close error on a read path can mask a truncated read (e.g. a
+		// network filesystem flushing late); fold it into the load error.
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fail("%s: %v", graphPath, err)
+		}
+		return g
+	}
+	switch dataset {
+	case "youtube":
+		return gv.GenerateYouTubeLike(nodes, edges, seed)
+	case "amazon":
+		return gv.GenerateAmazonLike(nodes, edges, seed)
+	case "citation":
+		return gv.GenerateCitationLike(nodes, edges, seed)
+	default:
+		return gv.GenerateUniform(nodes, edges, labels, seed)
 	}
 }
 
@@ -120,7 +139,7 @@ func main() {
 		fail("unknown -maint %q (want delta or remat)", *maintMode)
 	}
 
-	g, vs := loadWorkload(*graphPath, *viewsPath, *dataset, *nodes, *edges, *labels, *seed)
+	vs := loadViews(*graphPath, *viewsPath, *dataset, *labels, *seed)
 
 	logger := log.New(os.Stderr, "gvserve: ", log.LstdFlags|log.Lmicroseconds)
 	accessLog := logger
@@ -130,8 +149,11 @@ func main() {
 
 	// Durable store: open the data directory, and when a checkpoint from
 	// a previous run exists, serve that graph instead of the one the
-	// workload flags produced (the flags still define the view set, which
-	// must stay the same across restarts of one data directory).
+	// workload flags name — which is then never parsed or generated (the
+	// flags still define the view set, which must stay the same across
+	// restarts of one data directory). Thaw hands the checkpoint's node
+	// columns to the graph, so the first publish shares them.
+	var g *gv.Graph
 	var st *store.Store
 	if *dataDir != "" {
 		policy, err := store.ParseSyncPolicy(*walSync)
@@ -148,13 +170,16 @@ func main() {
 			case *gv.Frozen:
 				g = b.Thaw()
 			case *gv.Sharded:
-				g = b.Unshard().Thaw()
+				g = b.Thaw()
 			}
 			logger.Printf("loaded checkpoint from %s: |V|=%d |E|=%d at write clock %d, %d WAL record(s) to replay",
 				*dataDir, g.NumNodes(), g.NumEdges(), st.BaseVersion(), len(st.Tail()))
 		} else {
 			logger.Printf("fresh data directory %s (wal-sync %s)", *dataDir, policy)
 		}
+	}
+	if g == nil {
+		g = loadGraph(*graphPath, *dataset, *nodes, *edges, *labels, *seed)
 	}
 	logger.Printf("materializing %d views over |V|=%d |E|=%d", vs.Card(), g.NumNodes(), g.NumEdges())
 	start := time.Now()

@@ -138,15 +138,19 @@ func NewGraph() *Graph { return graph.New() }
 // NewGraphWithCapacity returns an empty graph with room for n nodes.
 func NewGraphWithCapacity(n int) *Graph { return graph.NewWithCapacity(n) }
 
-// Freeze builds an immutable CSR snapshot of g in O(|V|+|E|): evaluation
-// over a Frozen shares no mutable state with the source graph, drops the
-// label-index mutex from the hottest read path and improves cache
-// locality for the simulation fixpoints. Freezing a *Frozen is a no-op.
-// Thaw() on the snapshot round-trips back to a mutable *Graph.
+// Freeze builds an immutable CSR snapshot of g: evaluation over a Frozen
+// shares no mutable state with the source graph, drops the label-index
+// mutex from the hottest read path and improves cache locality for the
+// simulation fixpoints. The first snapshot of a *Graph costs O(|V|+|E|);
+// the graph remembers it, so the next one costs what AddEdge/RemoveEdge
+// changed in between plus a bulk copy of the adjacency arrays, and an
+// unchanged graph gets the same snapshot back. Freezing a *Frozen is a
+// no-op. Thaw() on the snapshot round-trips back to a mutable *Graph.
 func Freeze(g GraphReader) *Frozen { return graph.Freeze(g) }
 
-// Shard splits any graph backend into k hash partitions in O(|V|+|E|):
-// shard s owns the nodes v with v mod k == s, holding their full CSR
+// Shard splits any graph backend into k hash partitions — O(|V|+|E|)
+// the first time, incremental per shard like Freeze after that: shard s
+// owns the nodes v with v mod k == s, holding their full CSR
 // adjacency, a shard-local label partition, frozen attribute columns and
 // the boundary array of its cross-shard out-edges. The result satisfies
 // GraphReader, so every evaluation entry point runs on it unchanged —

@@ -122,19 +122,13 @@ func FrozenFromColumns(c *FrozenColumns) (*Frozen, error) {
 		return nil, err
 	}
 	fz := &Frozen{
-		labels:    labels,
-		nodeLabel: c.NodeLabel,
-		numEdges:  c.NumEdges,
-		outOff:    c.OutOff,
-		outAdj:    c.OutAdj,
-		inOff:     c.InOff,
-		inAdj:     c.InAdj,
-		labelOff:  c.LabelOff,
-		labelIdx:  c.LabelIdx,
-		attrOff:   c.AttrOff,
-		attrKey:   c.AttrKey,
-		attrVal:   c.AttrVal,
-		catKeys:   keySet(c.CatKeys),
+		nodeHeader: nodeHeader{labels: labels, nodeLabel: c.NodeLabel, catKeys: keySet(c.CatKeys)},
+		nodeColumns: nodeColumns{
+			labelOff: c.LabelOff, labelIdx: c.LabelIdx,
+			attrOff: c.AttrOff, attrKey: c.AttrKey, attrVal: c.AttrVal,
+		},
+		csr:      csr{outOff: c.OutOff, outAdj: c.OutAdj, inOff: c.InOff, inAdj: c.InAdj},
+		numEdges: c.NumEdges,
 	}
 	// Freeze builds the attribute columns by append (nil when the graph
 	// carries no attributes); normalize so FromColumns∘Columns is the
@@ -254,21 +248,15 @@ func ShardedFromColumns(c *ShardedColumns) (*Sharded, error) {
 		}
 	}
 	s := &Sharded{
-		labels:    labels,
-		nodeLabel: c.NodeLabel,
-		numEdges:  c.NumEdges,
-		k:         k,
-		shards:    make([]shard, k),
-		catKeys:   keySet(c.CatKeys),
+		nodeHeader: nodeHeader{labels: labels, nodeLabel: c.NodeLabel, catKeys: keySet(c.CatKeys)},
+		numEdges:   c.NumEdges,
+		k:          k,
+		shards:     make([]shard, k),
 	}
 	totalOut := 0
 	for si := 0; si < k; si++ {
 		sc := &c.Shards[si]
-		want := 0
-		if si < n {
-			want = (n - si + k - 1) / k
-		}
-		if sc.N != want {
+		if want := ownedNodes(n, si, k); sc.N != want {
 			return nil, fmt.Errorf("graph: shard %d owns %d nodes, hash rule demands %d", si, sc.N, want)
 		}
 		if err := checkOffsets(fmt.Sprintf("shard %d outOff", si), sc.OutOff, sc.N, len(sc.OutAdj)); err != nil {
@@ -314,18 +302,14 @@ func ShardedFromColumns(c *ShardedColumns) (*Sharded, error) {
 		totalOut += len(sc.OutAdj)
 		sh := &s.shards[si]
 		*sh = shard{
-			n:           sc.N,
-			outOff:      sc.OutOff,
-			outAdj:      sc.OutAdj,
-			inOff:       sc.InOff,
-			inAdj:       sc.InAdj,
-			labelOff:    sc.LabelOff,
-			labelIdx:    sc.LabelIdx,
+			n: sc.N,
+			nodeColumns: nodeColumns{
+				labelOff: sc.LabelOff, labelIdx: sc.LabelIdx,
+				attrOff: sc.AttrOff, attrKey: sc.AttrKey, attrVal: sc.AttrVal,
+			},
+			csr:         csr{outOff: sc.OutOff, outAdj: sc.OutAdj, inOff: sc.InOff, inAdj: sc.InAdj},
 			boundarySrc: sc.BoundarySrc,
 			boundaryDst: sc.BoundaryDst,
-			attrOff:     sc.AttrOff,
-			attrKey:     sc.AttrKey,
-			attrVal:     sc.AttrVal,
 		}
 		// Shard builds boundary and attribute columns by append (nil when
 		// empty); normalize for the FromColumns∘Columns identity.

@@ -17,135 +17,87 @@ import (
 // slice of the prebuilt partition with no locking. The flat edge arrays
 // also give the simulation fixpoints better cache locality than the
 // per-node adjacency slices of *Graph.
+//
+// What a Frozen does share is immutable arrays with its neighbours in
+// time: consecutive snapshots of one *Graph that saw only edge updates
+// in between hold the same node header and node columns (see
+// snapshot.go), and a snapshot taken with nothing changed is the
+// previous one.
 type Frozen struct {
-	labels    *Interner
-	nodeLabel []LabelID
-	numEdges  int
-
-	// CSR adjacency: Out(v) = outAdj[outOff[v]:outOff[v+1]], ascending.
-	outOff []int32
-	outAdj []NodeID
-	inOff  []int32
-	inAdj  []NodeID
-
-	// Label partition: NodesWithLabel(l) = labelIdx[labelOff[l]:labelOff[l+1]],
-	// ascending within each partition.
-	labelOff []int32
-	labelIdx []NodeID
-
-	// Attribute columns: node v's attributes are the parallel key/value
-	// ranges attrKey[attrOff[v]:attrOff[v+1]] / attrVal[...], with keys
-	// sorted per node so Freeze is deterministic.
-	attrOff []int32
-	attrKey []string
-	attrVal []int64
-	catKeys map[string]struct{}
+	nodeHeader
+	nodeColumns // of the single partition holding every node
+	csr
+	numEdges int
 }
 
-// Freeze builds an immutable CSR snapshot of r in O(|V|+|E|) time (plus
-// the attribute volume). The snapshot shares no mutable state with r:
-// the interner is cloned and all adjacency and attribute data is copied,
-// so later mutations of a source *Graph never show through. Freezing a
-// *Frozen returns it unchanged (it is already immutable).
+// Freeze returns an immutable CSR snapshot of r. Later mutations of a
+// source *Graph never show through: the interner is cloned and every
+// array the snapshot holds is private to snapshots. Freezing a *Frozen
+// returns it unchanged (it is already immutable).
+//
+// The first snapshot of a graph costs O(|V|+|E|) plus the attribute
+// volume. A *Graph remembers the last snapshot taken of it and the nodes
+// whose adjacency AddEdge/RemoveEdge changed since, so the next Freeze
+// shares the node columns (labels, label partition, attributes) with it
+// and splices the new CSR: bulk copies of the untouched runs plus the
+// dirty nodes' lists — O(dirty) graph reads and two memmoves per
+// direction. With nothing dirty the remembered snapshot itself is
+// returned. AddNode, SetAttr and SetAttrString drop the memory, and past
+// |V|/4 dirty nodes only the node columns are reused. The result is
+// field for field what a from-scratch build of the same graph yields.
 func Freeze(r Reader) *Frozen {
 	if fz, ok := r.(*Frozen); ok {
 		return fz
 	}
-	n := r.NumNodes()
-	fz := &Frozen{
-		labels:    r.Interner().Clone(),
-		nodeLabel: make([]LabelID, n),
-		numEdges:  r.NumEdges(),
-		outOff:    make([]int32, n+1),
-		inOff:     make([]int32, n+1),
-		attrOff:   make([]int32, n+1),
+	g, ok := r.(*Graph)
+	if !ok {
+		return freeze(r, nil, nil)
 	}
-	for v := 0; v < n; v++ {
-		id := NodeID(v)
-		fz.nodeLabel[v] = r.Label(id)
-		fz.outOff[v+1] = fz.outOff[v] + int32(r.OutDegree(id))
-		fz.inOff[v+1] = fz.inOff[v] + int32(r.InDegree(id))
+	g.snapMu.Lock()
+	defer g.snapMu.Unlock()
+	m := g.reusable()
+	prev, _ := m.last.(*Frozen)
+	if prev == nil {
+		m = memo{} // a remembered *Sharded is laid out differently
 	}
-	fz.outAdj = make([]NodeID, fz.outOff[n])
-	fz.inAdj = make([]NodeID, fz.inOff[n])
-	for v := 0; v < n; v++ {
-		id := NodeID(v)
-		copy(fz.outAdj[fz.outOff[v]:], r.Out(id))
-		copy(fz.inAdj[fz.inOff[v]:], r.In(id))
-	}
-
-	// Label partition by counting sort: scanning nodes in id order keeps
-	// every partition ascending, matching *Graph's lazily built index.
-	nl := fz.labels.Len()
-	fz.labelOff = make([]int32, nl+1)
-	for _, l := range fz.nodeLabel {
-		fz.labelOff[l+1]++
-	}
-	for l := 0; l < nl; l++ {
-		fz.labelOff[l+1] += fz.labelOff[l]
-	}
-	fz.labelIdx = make([]NodeID, n)
-	fill := make([]int32, nl)
-	for v, l := range fz.nodeLabel {
-		fz.labelIdx[fz.labelOff[l]+fill[l]] = NodeID(v)
-		fill[l]++
-	}
-
-	// Attribute columns, keys sorted per node so that freezing the same
-	// graph twice yields identical snapshots (map iteration order must
-	// not leak into the columns).
-	var keys []string
-	for v := 0; v < n; v++ {
-		attrs := r.Attrs(NodeID(v))
-		keys = keys[:0]
-		for k := range attrs {
-			keys = append(keys, k)
+	var dirty []int32
+	if m.dirty != nil {
+		if m.nDirty == 0 {
+			g.snapStats.SharedParts++
+			return prev
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fz.attrKey = append(fz.attrKey, k)
-			fz.attrVal = append(fz.attrVal, attrs[k])
-			if r.IsCategorical(k) {
-				if fz.catKeys == nil {
-					fz.catKeys = make(map[string]struct{})
-				}
-				fz.catKeys[k] = struct{}{}
-			}
-		}
-		fz.attrOff[v+1] = int32(len(fz.attrKey))
+		dirty = m.partitionDirty(1)[0]
 	}
+	fz := freeze(g, prev, dirty)
+	g.remember(fz, m)
 	return fz
 }
 
-// Thaw converts the snapshot back to a mutable *Graph sharing no state
-// with f. Freeze(f.Thaw()) reproduces f exactly.
-func (f *Frozen) Thaw() *Graph {
-	n := f.NumNodes()
-	g := &Graph{
-		labels:    f.labels.Clone(),
-		nodeLabel: append([]LabelID(nil), f.nodeLabel...),
-		attrs:     make([]map[string]int64, n),
-		out:       make([][]NodeID, n),
-		in:        make([][]NodeID, n),
-		numEdges:  f.numEdges,
-	}
-	for v := 0; v < n; v++ {
-		if out := f.Out(NodeID(v)); len(out) > 0 {
-			g.out[v] = append([]NodeID(nil), out...)
-		}
-		if in := f.In(NodeID(v)); len(in) > 0 {
-			g.in[v] = append([]NodeID(nil), in...)
-		}
-		g.attrs[v] = f.Attrs(NodeID(v))
-	}
-	if len(f.catKeys) > 0 {
-		g.catKeys = make(map[string]struct{}, len(f.catKeys))
-		for k := range f.catKeys {
-			g.catKeys[k] = struct{}{}
+// freeze is the one Frozen build routine. prev, when non-nil, is an
+// earlier snapshot of r with identical node data: its node header and
+// columns are shared, and when dirty is non-nil too — the ascending node
+// ids whose adjacency changed since prev — so are its clean CSR runs.
+func freeze(r Reader, prev *Frozen, dirty []int32) *Frozen {
+	n := r.NumNodes()
+	fz := &Frozen{numEdges: r.NumEdges()}
+	var from *csr
+	if prev == nil {
+		fz.nodeHeader = newHeader(r)
+		fz.nodeColumns = buildColumns(r, &fz.nodeHeader, 0, 1, n)
+	} else {
+		fz.nodeHeader, fz.nodeColumns = prev.nodeHeader, prev.nodeColumns
+		if dirty != nil {
+			from = &prev.csr
 		}
 	}
-	return g
+	fz.csr = buildCSR(r, 0, 1, n, from, dirty)
+	return fz
 }
+
+// Thaw converts the snapshot back to a mutable *Graph. Mutating the
+// graph never shows through f; the graph remembers f as its last
+// snapshot (see Freeze), so Freeze(f.Thaw()) is f itself.
+func (f *Frozen) Thaw() *Graph { return thaw(f, f.catKeys) }
 
 // Interner exposes the snapshot's label interner (a clone of the source
 // graph's, so label ids coincide).

@@ -57,6 +57,12 @@ type Graph struct {
 	// values are interned label ids, which serialization must write as
 	// strings so they survive re-interning on load.
 	catKeys map[string]struct{}
+
+	// snapMu orders concurrent Freeze/Shard calls, which are read-only
+	// operations on g and may race each other like any other readers.
+	snapMu    sync.Mutex
+	snap      *memo         // guarded by snapMu; the last snapshot and the nodes dirtied since, nil when node data changed
+	snapStats SnapshotStats // guarded by snapMu
 }
 
 // New returns an empty graph.
@@ -105,11 +111,20 @@ func (g *Graph) AddNode(label string) NodeID {
 	g.in = append(g.in, nil)
 	g.labelIndex = nil
 	g.labelMu.Unlock()
+	g.forgetSnapshot()
 	return id
+}
+
+// forgetSnapshot drops the remembered snapshot: node data is about to
+// change, so the next Freeze or Shard rebuilds the node columns too.
+func (g *Graph) forgetSnapshot() {
+	//gvcheck:ignore mutexguard mutators are externally synchronized with Freeze/Shard (see touch)
+	g.snap = nil
 }
 
 // SetAttr sets integer attribute key=val on node v.
 func (g *Graph) SetAttr(v NodeID, key string, val int64) {
+	g.forgetSnapshot()
 	if g.attrs[v] == nil {
 		g.attrs[v] = make(map[string]int64, 4)
 	}
@@ -186,6 +201,7 @@ func (g *Graph) AddEdge(u, v NodeID) bool {
 	g.out[u] = nu
 	g.in[v], _ = insertSorted(g.in[v], u)
 	g.numEdges++
+	g.touch(u, v)
 	return true
 }
 
@@ -198,6 +214,7 @@ func (g *Graph) RemoveEdge(u, v NodeID) bool {
 	g.out[u] = nu
 	g.in[v], _ = removeSorted(g.in[v], u)
 	g.numEdges--
+	g.touch(u, v)
 	return true
 }
 

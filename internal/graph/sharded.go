@@ -35,12 +35,10 @@ import (
 // Apart from that cache a Sharded is immutable after construction and
 // safe for unsynchronized concurrent use.
 type Sharded struct {
-	labels    *Interner
-	nodeLabel []LabelID // global: Label(v) must not pay a shard hop
-	numEdges  int
-	k         int
-	shards    []shard
-	catKeys   map[string]struct{}
+	nodeHeader // nodeLabel is global: Label(v) must not pay a shard hop
+	numEdges   int
+	k          int
+	shards     []shard
 
 	// mergeMu guards the lazily built merge-on-read label cache.
 	mergeMu sync.Mutex
@@ -52,32 +50,27 @@ type Sharded struct {
 type shard struct {
 	n int // owned node count
 
-	outOff []int32
-	outAdj []NodeID
-	inOff  []int32
-	inAdj  []NodeID
-
-	// Label partition restricted to owned nodes:
-	// labelIdx[labelOff[l]:labelOff[l+1]], ascending.
-	labelOff []int32
-	labelIdx []NodeID
+	nodeColumns
+	csr
 
 	// Boundary arrays: cross-shard out-edges in ascending (src,dst)
 	// order. boundarySrc[i] is owned by this shard, boundaryDst[i] is not.
 	boundarySrc []NodeID
 	boundaryDst []NodeID
-
-	// Attribute columns for owned nodes, keys sorted per node.
-	attrOff []int32
-	attrKey []string
-	attrVal []int64
 }
 
 // Shard splits any Reader (mutable *Graph, *Frozen, or another *Sharded)
-// into k hash partitions in O(|V|+|E|) time plus the attribute volume.
-// k is clamped to at least 1; shards may own zero nodes when k exceeds
-// |V|. The result shares no mutable state with r. Sharding a *Sharded
-// that already has k shards returns it unchanged.
+// into k hash partitions. k is clamped to at least 1; shards may own zero
+// nodes when k exceeds |V|. Later mutations of a source *Graph never
+// show through. Sharding a *Sharded that already has k shards returns it
+// unchanged.
+//
+// The first split of a graph costs O(|V|+|E|) plus the attribute volume.
+// After that a *Graph remembers its last snapshot exactly as for Freeze:
+// the next Shard at the same k shares the node header and every shard's
+// node columns, carries a shard none of whose nodes is dirty over whole,
+// and splices the CSR of the others. The result is field for field what
+// a from-scratch split of the same graph yields.
 func Shard(r Reader, k int) *Sharded {
 	if k < 1 {
 		k = 1
@@ -85,90 +78,96 @@ func Shard(r Reader, k int) *Sharded {
 	if sh, ok := r.(*Sharded); ok && sh.k == k {
 		return sh
 	}
-	n := r.NumNodes()
-	s := &Sharded{
-		labels:    r.Interner().Clone(),
-		nodeLabel: make([]LabelID, n),
-		numEdges:  r.NumEdges(),
-		k:         k,
-		shards:    make([]shard, k),
+	g, ok := r.(*Graph)
+	if !ok {
+		s, _ := shardOf(r, k, nil, nil)
+		return s
 	}
-	for v := 0; v < n; v++ {
-		s.nodeLabel[v] = r.Label(NodeID(v))
+	g.snapMu.Lock()
+	defer g.snapMu.Unlock()
+	m := g.reusable()
+	prev, _ := m.last.(*Sharded)
+	if prev == nil || prev.k != k {
+		prev, m = nil, memo{}
 	}
-	nl := s.labels.Len()
-	var keys []string
-	for si := 0; si < k; si++ {
-		sh := &s.shards[si]
-		// Owned nodes are si, si+k, ...: count = ceil((n-si)/k).
-		if si < n {
-			sh.n = (n - si + k - 1) / k
+	var dirty [][]int32
+	if m.dirty != nil {
+		if m.nDirty == 0 {
+			g.snapStats.SharedParts += k
+			return prev
 		}
-		sh.outOff = make([]int32, sh.n+1)
-		sh.inOff = make([]int32, sh.n+1)
-		sh.attrOff = make([]int32, sh.n+1)
-		for li := 0; li < sh.n; li++ {
-			v := NodeID(li*k + si)
-			sh.outOff[li+1] = sh.outOff[li] + int32(r.OutDegree(v))
-			sh.inOff[li+1] = sh.inOff[li] + int32(r.InDegree(v))
-		}
-		sh.outAdj = make([]NodeID, sh.outOff[sh.n])
-		sh.inAdj = make([]NodeID, sh.inOff[sh.n])
-		for li := 0; li < sh.n; li++ {
-			v := NodeID(li*k + si)
-			copy(sh.outAdj[sh.outOff[li]:], r.Out(v))
-			copy(sh.inAdj[sh.inOff[li]:], r.In(v))
-			// Boundary scan over the CSR range just filled: ascending
-			// (src,dst) order falls out of the ascending owned-node walk
-			// over sorted out-lists.
-			for _, w := range sh.outAdj[sh.outOff[li]:sh.outOff[li+1]] {
-				if int(w)%k != si {
-					sh.boundarySrc = append(sh.boundarySrc, v)
-					sh.boundaryDst = append(sh.boundaryDst, w)
-				}
-			}
-		}
-
-		// Per-shard label partition by counting sort: the ascending
-		// owned-node walk keeps every partition ascending.
-		sh.labelOff = make([]int32, nl+1)
-		for li := 0; li < sh.n; li++ {
-			sh.labelOff[s.nodeLabel[li*k+si]+1]++
-		}
-		for l := 0; l < nl; l++ {
-			sh.labelOff[l+1] += sh.labelOff[l]
-		}
-		sh.labelIdx = make([]NodeID, sh.n)
-		fill := make([]int32, nl)
-		for li := 0; li < sh.n; li++ {
-			l := s.nodeLabel[li*k+si]
-			sh.labelIdx[sh.labelOff[l]+fill[l]] = NodeID(li*k + si)
-			fill[l]++
-		}
-
-		// Attribute columns, keys sorted per node (deterministic like
-		// Freeze: map iteration order must not leak into the columns).
-		for li := 0; li < sh.n; li++ {
-			attrs := r.Attrs(NodeID(li*k + si))
-			keys = keys[:0]
-			for key := range attrs {
-				keys = append(keys, key)
-			}
-			sort.Strings(keys)
-			for _, key := range keys {
-				sh.attrKey = append(sh.attrKey, key)
-				sh.attrVal = append(sh.attrVal, attrs[key])
-				if r.IsCategorical(key) {
-					if s.catKeys == nil {
-						s.catKeys = make(map[string]struct{})
-					}
-					s.catKeys[key] = struct{}{}
-				}
-			}
-			sh.attrOff[li+1] = int32(len(sh.attrKey))
-		}
+		dirty = m.partitionDirty(k)
 	}
+	s, shared := shardOf(g, k, prev, dirty)
+	g.snapStats.SharedParts += shared
+	g.remember(s, m)
 	return s
+}
+
+// shardOf is the one Sharded build routine. prev, when non-nil, is an
+// earlier k-way split of r with identical node data: its node header and
+// per-shard node columns are shared, and when dirty is non-nil too — per
+// shard, the ascending local indices whose adjacency changed since prev
+// — a shard with none is carried over whole (the second result counts
+// them) and the others keep their clean CSR runs.
+func shardOf(r Reader, k int, prev *Sharded, dirty [][]int32) (*Sharded, int) {
+	n := r.NumNodes()
+	s := &Sharded{numEdges: r.NumEdges(), k: k, shards: make([]shard, k)}
+	if prev == nil {
+		s.nodeHeader = newHeader(r)
+	} else {
+		s.nodeHeader = prev.nodeHeader
+	}
+	shared := 0
+	for si := range s.shards {
+		sh := &s.shards[si]
+		var from *csr
+		var list []int32
+		if prev == nil {
+			sh.n = ownedNodes(n, si, k)
+			sh.nodeColumns = buildColumns(r, &s.nodeHeader, si, k, sh.n)
+		} else {
+			old := &prev.shards[si]
+			if dirty != nil {
+				if len(dirty[si]) == 0 {
+					*sh = *old
+					shared++
+					continue
+				}
+				from, list = &old.csr, dirty[si]
+			}
+			sh.n, sh.nodeColumns = old.n, old.nodeColumns
+		}
+		sh.csr = buildCSR(r, si, k, sh.n, from, list)
+		sh.boundarySrc, sh.boundaryDst = boundary(&sh.csr, si, k)
+	}
+	return s, shared
+}
+
+// boundary extracts partition si of k's cross-shard out-edges from its
+// CSR, in ascending (src,dst) order — which falls out of the ascending
+// owned-node walk over sorted out-lists. Counting first sizes the arrays
+// exactly; a shard with no such edge has nil arrays.
+func boundary(c *csr, si, k int) (src, dst []NodeID) {
+	cross := 0
+	for _, w := range c.outAdj {
+		if int(w)%k != si {
+			cross++
+		}
+	}
+	if cross == 0 {
+		return nil, nil
+	}
+	src, dst = make([]NodeID, 0, cross), make([]NodeID, 0, cross)
+	for li := 0; li+1 < len(c.outOff); li++ {
+		for _, w := range c.outAdj[c.outOff[li]:c.outOff[li+1]] {
+			if int(w)%k != si {
+				src = append(src, NodeID(li*k+si))
+				dst = append(dst, w)
+			}
+		}
+	}
+	return src, dst
 }
 
 // Unshard flattens the partitions back into a single *Frozen CSR
@@ -176,6 +175,12 @@ func Shard(r Reader, k int) *Sharded {
 // with its source, Shard(r, k).Unshard() is identical — field for field
 // — to Freeze(r), which the round-trip tests pin with reflect.DeepEqual.
 func (s *Sharded) Unshard() *Frozen { return Freeze(s) }
+
+// Thaw converts the partitions back to a mutable *Graph. Mutating the
+// graph never shows through s; the graph remembers s as its last
+// snapshot (see Shard), so the first Shard at the same k after a restart
+// shares s's node columns.
+func (s *Sharded) Thaw() *Graph { return thaw(s, s.catKeys) }
 
 // NumShards returns k, the number of hash partitions.
 func (s *Sharded) NumShards() int { return s.k }

@@ -82,10 +82,21 @@ type Metrics struct {
 	// Snapshot lifecycle.
 	epoch        atomic.Uint64
 	publishes    atomic.Int64
-	publishNs    atomic.Int64  // cumulative publish (freeze+clone+swap) time
+	publishNs    atomic.Int64  // cumulative publish (flush+freeze+clone+swap) time
 	snapshotPair atomic.Int64  // |V(G)| of the live snapshot
 	snapshotSize atomic.Int64  // |G| of the live snapshot
 	published    atomic.Uint64 // write-clock value captured at last publish
+
+	// Publish phases. The two graph.SnapshotStats counters are copied
+	// absolute from the maintained graph after every publish (under the
+	// write lock), like the maintenance counters below.
+	publishFlushNs     atomic.Int64 // draining the change feed before the build
+	publishFreezeNs    atomic.Int64 // Engine.Snapshot: Freeze or Shard
+	publishDirtyNodes  atomic.Int64 // nodes whose adjacency the builds re-read
+	publishSharedParts atomic.Int64 // shards (or the whole CSR) carried over whole
+
+	// panics counts handler panics turned into 500s by withRecovery.
+	panics atomic.Int64
 
 	// Write path.
 	version atomic.Uint64 // Maintained write clock
@@ -213,7 +224,12 @@ func (m *Metrics) WriteText(w io.Writer) {
 	gauge("gvserve_snapshot_pairs", "Total match pairs |V(G)| cached in the live snapshot.", m.snapshotPair.Load())
 	gauge("gvserve_snapshot_graph_size", "Graph size |V|+|E| of the live snapshot.", m.snapshotSize.Load())
 	counter("gvserve_publish_total", "Snapshots published since start.", m.publishes.Load())
-	counter("gvserve_publish_ns_total", "Cumulative snapshot build+swap time in nanoseconds.", m.publishNs.Load())
+	counter("gvserve_publish_ns_total", "Cumulative publish time (feed flush, snapshot build, extension clone, swap) in nanoseconds.", m.publishNs.Load())
+	counter("gvserve_publish_flush_ns_total", "Cumulative time publishes spent draining the change feed, in nanoseconds.", m.publishFlushNs.Load())
+	counter("gvserve_publish_freeze_ns_total", "Cumulative time publishes spent building the immutable graph snapshot, in nanoseconds.", m.publishFreezeNs.Load())
+	counter("gvserve_publish_dirty_nodes_total", "Nodes whose adjacency lists snapshot builds read from the live graph instead of copying from the previous snapshot.", m.publishDirtyNodes.Load())
+	counter("gvserve_publish_shards_shared_total", "Shards (the whole CSR when unsharded) snapshot builds carried over from the previous snapshot untouched.", m.publishSharedParts.Load())
+	counter("gvserve_panics_total", "Handler panics recovered and answered with 500.", m.panics.Load())
 	gauge("gvserve_maintained_version", "Write clock: effective updates committed to the maintained views.", int64(m.version.Load()))
 	gauge("gvserve_pending_updates", "Committed updates not yet visible in the live snapshot.", int64(m.version.Load()-m.published.Load()))
 	counter("gvserve_updates_applied_total", "Effective edge updates applied.", m.updates.Load())

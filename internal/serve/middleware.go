@@ -1,16 +1,17 @@
 package serve
 
 // The middleware stack production traffic demands, composed per route
-// (outermost first): access logging → metrics → admission control →
-// request timeout. Operational endpoints (/healthz, /metrics) skip
-// admission control so the server stays observable under overload —
-// shedding the probes that tell you why you are shedding would be
-// self-inflicted blindness.
+// (outermost first): access logging → metrics → panic recovery →
+// admission control → request timeout. Operational endpoints (/healthz,
+// /metrics) skip admission control so the server stays observable under
+// overload — shedding the probes that tell you why you are shedding
+// would be self-inflicted blindness.
 
 import (
 	"context"
 	"log"
 	"net/http"
+	"runtime/debug"
 	"time"
 )
 
@@ -71,6 +72,33 @@ func withMetrics(h http.Handler, m *Metrics, route string) http.Handler {
 		}
 		rm.requests[statusClass(code)].Add(1)
 		rm.latency.observe(time.Since(start))
+	})
+}
+
+// withRecovery contains a panicking handler: the request gets a 500, the
+// panic is counted and logged, and the process keeps serving. It sits
+// inside the metrics middleware so the 500 is counted under its route.
+// The write path releases s.mu by defer, so a panic there unwinds through
+// the unlock before it reaches this frame and later writers do not
+// deadlock. http.ErrAbortHandler is net/http's own signal and passes
+// through.
+func withRecovery(h http.Handler, m *Metrics, logger *log.Logger) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			v := recover()
+			if v == nil {
+				return
+			}
+			if v == http.ErrAbortHandler {
+				panic(v)
+			}
+			m.panics.Add(1)
+			if logger != nil {
+				logger.Printf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+			}
+			writeError(w, http.StatusInternalServerError, "internal error")
+		}()
+		h.ServeHTTP(w, r)
 	})
 }
 

@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+
+	gv "graphviews"
 )
 
 // TestAdmissionSheds verifies the bounded-in-flight invariant: with all
@@ -132,5 +136,60 @@ func TestStatusClass(t *testing.T) {
 		if got := statusClass(code); got != want {
 			t.Errorf("statusClass(%d) = %d, want %d", code, got, want)
 		}
+	}
+}
+
+// TestPanicContained drives the one panic the write path still has — a
+// snapshot build error inside publishLocked, forced here with an engine
+// whose context is already cancelled — through the real /publish route:
+// the request gets a 500, the panic is counted, the write lock is
+// released by Publish's defer, and /healthz, /update and a later
+// /publish keep working.
+func TestPanicContained(t *testing.T) {
+	s, hs, _ := newTestServer(t, Config{})
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(hs.URL+path, "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post("/update", "add 1 5"); code != http.StatusOK {
+		t.Fatalf("/update before the panic: status %d", code)
+	}
+
+	good := s.eng
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.eng = gv.NewEngine(gv.WithContext(ctx))
+	if code := post("/publish", ""); code != http.StatusInternalServerError {
+		t.Fatalf("/publish with a failing snapshot build: status %d, want 500", code)
+	}
+	s.eng = good
+
+	if got := s.Metrics().panics.Load(); got != 1 {
+		t.Fatalf("gvserve_panics_total = %d, want 1", got)
+	}
+	if got := s.Metrics().RequestCount("/publish", "5xx"); got != 1 {
+		t.Fatalf("/publish 5xx count = %d, want 1", got)
+	}
+	resp, err := http.Get(hs.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after the panic: status %d", resp.StatusCode)
+	}
+	if code := post("/update", "add 2 6"); code != http.StatusOK {
+		t.Fatalf("/update after the panic: status %d (write lock still held?)", code)
+	}
+	if code := post("/publish", ""); code != http.StatusOK {
+		t.Fatalf("/publish after the panic: status %d", code)
+	}
+	if snap := s.Current(); snap.Version != 2 || snap.Graph.NumEdges() != 3 {
+		t.Fatalf("after recovery: version %d, %d edges; want 2 and 3", snap.Version, snap.Graph.NumEdges())
 	}
 }

@@ -291,12 +291,19 @@ func (s *Server) publishLocked() *Snapshot {
 	if s.feed.Backlog() > 0 {
 		s.flushFeedLocked()
 	}
+	flushed := time.Now()
 	// Engine ctx is Background, so Snapshot cannot fail here; the guard
-	// keeps the invariant visible if a cancellable engine ever arrives.
+	// keeps the invariant visible if a cancellable engine ever arrives
+	// (withRecovery turns it into a 500 on the request that hit it).
 	frozen, err := s.eng.Snapshot(s.maint.G)
 	if err != nil {
 		panic("serve: snapshot build failed: " + err.Error())
 	}
+	s.metrics.publishFlushNs.Add(int64(flushed.Sub(start)))
+	s.metrics.publishFreezeNs.Add(int64(time.Since(flushed)))
+	st := s.maint.G.SnapshotStats()
+	s.metrics.publishDirtyNodes.Store(int64(st.DirtyNodes))
+	s.metrics.publishSharedParts.Store(int64(st.SharedParts))
 	prev := s.cur.Load()
 	var epoch uint64 = 1
 	if prev != nil {
@@ -485,8 +492,8 @@ func (s *Server) syncMaintMetricsLocked() {
 }
 
 // Handler returns the server's HTTP handler with the full middleware
-// stack composed per route: access logging → metrics → admission
-// control → request timeout → handler. /healthz and /metrics skip
+// stack composed per route: access logging → metrics → panic recovery →
+// admission control → request timeout → handler. /healthz and /metrics skip
 // admission control and the timeout so the server stays observable
 // under overload.
 func (s *Server) Handler() http.Handler {
@@ -521,9 +528,10 @@ func (s *Server) withReady(h http.Handler) http.Handler {
 	})
 }
 
-// instrument wraps a route in the logging and metrics middleware.
+// instrument wraps a route in the logging, metrics and panic-recovery
+// middleware.
 func (s *Server) instrument(route string, h http.Handler) http.Handler {
-	return withLogging(withMetrics(h, s.metrics, route), s.cfg.Logger, func() uint64 {
+	return withLogging(withMetrics(withRecovery(h, s.metrics, s.cfg.Logger), s.metrics, route), s.cfg.Logger, func() uint64 {
 		return s.cur.Load().Epoch
 	})
 }
