@@ -3,13 +3,18 @@
 
 GO ?= go
 
-.PHONY: build test race vet analyze staticcheck govulncheck lint fmt-check docs-lint loadtest bench bench-smoke bench-scc bench-frozen bench-sharded bench-json bench-json-smoke bench-diff bench-maint bench-maint-smoke bench-wal bench-wal-smoke fuzz-smoke cover ci
+.PHONY: build test loc race vet analyze staticcheck govulncheck lint fmt-check docs-lint loadtest bench bench-smoke bench-scc bench-frozen bench-sharded bench-json bench-json-smoke bench-diff bench-wal bench-wal-smoke fuzz-smoke cover ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines outside bench/ (ROADMAP's LOC bar), then inside it.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1 | awk '{print $$1, "outside bench/"}'
+	@find ./bench -name '*.go' -not -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1, "inside bench/"}'
 
 # Race tests pin GOMAXPROCS>=4 so the SCC-parallel fixpoint waves truly
 # interleave even when the host (or a dev container) exposes one CPU.
@@ -79,47 +84,6 @@ loadtest:
 	$(GO) run ./cmd/gvload -self -dataset youtube -nodes 20000 -edges 80000 \
 		-qps $(LOAD_QPS) -duration $(LOAD_DURATION) -write-every 500ms \
 		-json $(LOAD_JSON)
-
-# Maintenance benchmark: record the serving trajectory into
-# $(MAINT_JSON) and gate the read path against $(MAINT_BASE). Three
-# read-only runs reproduce the ServeQuery qps sweep (same series names
-# as BENCH_PR6.json, so `benchjson -diff` compares them directly), then
-# one mixed 95/5 read/write run per maintenance mode records read/write
-# percentiles and the per-batch view-maintenance cost scraped from
-# gvserve_maintenance_* — mode=delta vs mode=remat is the
-# delta-propagation-vs-full-rematerialize comparison. The final diff
-# fails on a >20% regression in any shared (read-path) series; the
-# mixed and maintenance series are new in $(MAINT_JSON) and reported
-# informationally. See OPERATIONS.md §gvload.
-MAINT_JSON ?= BENCH_PR8.json
-MAINT_BASE ?= BENCH_PR6.json
-MAINT_DURATION ?= 10s
-MAINT_MIX ?= 0.05
-bench-maint:
-	for q in 100 200 400; do \
-		$(GO) run ./cmd/gvload -self -dataset youtube -nodes 20000 -edges 80000 \
-			-qps $$q -duration $(MAINT_DURATION) -write-every 500ms \
-			-json $(MAINT_JSON) || exit 1; \
-	done
-	for mode in delta remat; do \
-		$(GO) run ./cmd/gvload -self -dataset youtube -nodes 20000 -edges 80000 \
-			-qps 200 -duration $(MAINT_DURATION) -write-mix $(MAINT_MIX) -write-batch 4 \
-			-maint $$mode -json $(MAINT_JSON) || exit 1; \
-	done
-	$(GO) run ./cmd/benchjson -diff -threshold 0.20 $(MAINT_BASE) $(MAINT_JSON)
-
-# CI-sized maintenance smoke: one short mixed run per mode into a
-# scratch file, proving the write path, the metrics scrape and both
-# maintenance modes work end to end. No regression gate (runs are too
-# short to be stable).
-bench-maint-smoke:
-	@rm -f .bench-maint.json
-	for mode in delta remat; do \
-		$(GO) run ./cmd/gvload -self -dataset youtube -nodes 5000 -edges 20000 \
-			-qps 100 -duration 2s -write-mix 0.1 -write-batch 4 \
-			-maint $$mode -json .bench-maint.json || exit 1; \
-	done
-	@rm -f .bench-maint.json
 
 # Full benchmark sweep: every Fig. 8 figure plus the parallel engine
 # worker sweeps. Slow; see bench-smoke for the CI-sized subset.
@@ -200,10 +164,9 @@ bench-json-smoke:
 	$(GO) run ./cmd/benchjson -out $(BENCH_JSON) < .bench-json.tmp
 	@rm -f .bench-json.tmp
 
-# Durability benchmark: WAL append ns/record per sync policy, crash
-# recovery (decode + delta replay) per 100k records and the snapshot
-# codec, recorded into $(WAL_JSON) via benchjson; then two gvload
-# sweeps. The first runs ephemeral (no -data-dir) under the same
+# Durability benchmark: WAL append ns/record per sync policy and crash
+# recovery (decode + delta replay) per 100k records, recorded into
+# $(WAL_JSON) via benchjson; then two gvload sweeps. The first runs ephemeral (no -data-dir) under the same
 # ServeQuery series names as earlier trajectories — the control the
 # final diff gates against $(WAL_BASE), proving the store subsystem
 # does not tax the read path (queries never touch the store). The
@@ -219,7 +182,7 @@ WAL_BASE ?= BENCH_PR9.json
 WAL_DURATION ?= 10s
 bench-wal:
 	@rm -f .bench-wal.tmp
-	$(GO) test -run 'BenchmarkNone' -bench 'WALAppend|RecoveryReplay|RecoveryExtensions|SnapshotSave|SnapshotLoad|StoreCheckpoint' -benchtime 300ms -count 2 -benchmem ./internal/store >> .bench-wal.tmp
+	$(GO) test -run 'BenchmarkNone' -bench 'WALAppend|RecoveryReplay|RecoveryExtensions|StoreCheckpoint' -benchtime 300ms -count 2 -benchmem ./internal/store >> .bench-wal.tmp
 	@cat .bench-wal.tmp
 	$(GO) run ./cmd/benchjson -out $(WAL_JSON) < .bench-wal.tmp
 	@rm -f .bench-wal.tmp
@@ -237,18 +200,16 @@ bench-wal:
 	# The gate protects the read path and the live WAL/recovery path.
 	# -skip exempts the informational series: ServeQueryDurable was
 	# recorded without a baseline by design (and now carries the
-	# extension-persistence work per checkpoint), and SnapshotSave/Load
-	# measure the legacy single-file GVSNAP01 codec, which after the
-	# manifest layout only runs during migration.
+	# extension-persistence work per checkpoint).
 	$(GO) run ./cmd/benchjson -diff -threshold 0.20 \
-		-skip 'ServeQueryDurable|SnapshotSave|SnapshotLoad' \
+		-skip 'ServeQueryDurable' \
 		$(WAL_BASE) $(WAL_JSON)
 
 # CI-sized durability smoke: the store micro-benches one iteration each
 # plus one short durable gvload run into a scratch trajectory.
 bench-wal-smoke:
 	@rm -f .bench-wal.json
-	$(GO) test -run 'BenchmarkNone' -bench 'WALAppend|RecoveryReplay|SnapshotSave|SnapshotLoad' -benchtime 1x ./internal/store
+	$(GO) test -run 'BenchmarkNone' -bench 'WALAppend|RecoveryReplay' -benchtime 1x ./internal/store
 	$(GO) run ./cmd/gvload -self -dataset youtube -nodes 5000 -edges 20000 \
 		-qps 100 -duration 2s -write-mix 0.1 -write-batch 4 \
 		-data-dir $$(mktemp -d) -wal-sync 5ms -json .bench-wal.json

@@ -63,7 +63,7 @@ func microWorkload() (*gv.Graph, *gv.ViewSet, *view.Extensions, *gv.Pattern, *co
 	x := gv.Materialize(g, vs)
 	rng := rand.New(rand.NewSource(2))
 	q := gv.GlueQuery(rng, vs, 5, 7)
-	l, ok, err := core.Contain(q, vs)
+	l, ok, err := core.Contain(q, vs, core.Options{})
 	if err != nil || !ok {
 		panic("micro workload query not contained")
 	}
@@ -75,7 +75,7 @@ func BenchmarkMatchSimulation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		simulation.Simulate(g, q)
+		simulation.Simulate(g, q, simulation.Options{})
 	}
 }
 
@@ -87,7 +87,7 @@ func BenchmarkMatchBounded(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		simulation.SimulateBounded(g, q)
+		simulation.Simulate(g, q, simulation.Options{})
 	}
 }
 
@@ -105,7 +105,7 @@ func BenchmarkContain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok, err := core.Contain(q, vs); err != nil || !ok {
+		if _, ok, err := core.Contain(q, vs, core.Options{}); err != nil || !ok {
 			b.Fatal("containment lost")
 		}
 	}
@@ -134,25 +134,7 @@ func BenchmarkMatchJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.MatchJoin(q, x, l)
-	}
-}
-
-func BenchmarkMatchJoinRanked(b *testing.B) {
-	_, _, x, q, l := microWorkload()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.MatchJoinRanked(q, x, l)
-	}
-}
-
-func BenchmarkMatchJoinNaive(b *testing.B) {
-	_, _, x, q, l := microWorkload()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.MatchJoinNaive(q, x, l)
+		core.MatchJoin(q, x, l, core.Options{})
 	}
 }
 
@@ -227,7 +209,7 @@ func BenchmarkMatchJoinSCCParallel(b *testing.B) {
 		rng := rand.New(rand.NewSource(int64(100 + k)))
 		q, vs := gv.NecklaceQuery(rng, k, 1)
 		g := gv.NecklaceGraph(rng, q, 60_000, 340_000)
-		l, ok, err := core.Contain(q, vs)
+		l, ok, err := core.Contain(q, vs, core.Options{})
 		if err != nil || !ok {
 			b.Fatalf("necklace workload not contained: %v %v", ok, err)
 		}

@@ -18,12 +18,9 @@
 // fraction of arrivals become POST /update batches (-write-batch edges
 // each) instead of queries. Read and write latencies are reported
 // separately, and the per-batch view-maintenance cost is scraped from
-// the server's gvserve_maintenance_* metrics before and after the run —
-// so one command with -maint delta and one with -maint remat measures
-// exactly what delta propagation saves:
+// the server's gvserve_maintenance_* metrics before and after the run:
 //
-//	gvload -self -dataset youtube -qps 200 -write-mix 0.05 -maint delta -json BENCH_PR8.json
-//	gvload -self -dataset youtube -qps 200 -write-mix 0.05 -maint remat -json BENCH_PR8.json
+//	gvload -self -dataset youtube -qps 200 -write-mix 0.05 -json BENCH_PR8.json
 package main
 
 import (
@@ -94,7 +91,6 @@ type result struct {
 
 	// Mixed-workload block (present only with -write-mix > 0).
 	WriteMix        float64 `json:"write_mix,omitempty"`
-	MaintMode       string  `json:"maint_mode,omitempty"`
 	Writes          int     `json:"writes,omitempty"`
 	WriteP50Us      float64 `json:"write_p50_us,omitempty"`
 	WriteP95Us      float64 `json:"write_p95_us,omitempty"`
@@ -121,7 +117,6 @@ func main() {
 		writeEvery   = flag.Duration("write-every", 0, "-self only: toggle edges and publish a new snapshot on this period (<=0 off)")
 		writeMix     = flag.Float64("write-mix", 0, "fraction of arrivals issued as POST /update write batches (0 <= mix < 1; 0.05 = 95/5 read/write)")
 		writeBatch   = flag.Int("write-batch", 4, "edge updates per write request (-write-mix); node ids drawn from [0,-nodes)")
-		maintMode    = flag.String("maint", "delta", "-self only: view maintenance mode, delta or remat")
 		flushAfter   = flag.Int("flush-after", 0, "-self only: buffer updates in the coalescing feed until this many deltas pend (<=0 immediate)")
 		publishAfter = flag.Int("publish-after", 0, "-self only: publish once this many deltas pend (<=0 off)")
 		workers      = flag.Int("workers", 0, "-self only: engine worker bound")
@@ -138,9 +133,6 @@ func main() {
 	flag.Parse()
 	if *writeMix < 0 || *writeMix >= 1 {
 		fail("-write-mix %v out of range [0,1)", *writeMix)
-	}
-	if *maintMode != "delta" && *maintMode != "remat" {
-		fail("unknown -maint %q (want delta or remat)", *maintMode)
 	}
 
 	g, vs := workload(*dataset, *nodes, *edges, *labels, *seed)
@@ -171,7 +163,6 @@ func main() {
 			PublishEvery:      *writeEvery, // publisher runs only when updates pend
 			PublishAfter:      *publishAfter,
 			FlushAfter:        *flushAfter,
-			Rematerialize:     *maintMode == "remat",
 			Store:             st,
 			PersistExtensions: *persistExts,
 			WALBacklogBytes:   *walBacklog,
@@ -371,7 +362,6 @@ func main() {
 	res.MeanUs = float64(sumNs) / float64(len(lats)) / 1e3
 	if *writeMix > 0 {
 		res.WriteMix = *writeMix
-		res.MaintMode = *maintMode
 		if len(wlats) > 0 {
 			res.WriteP50Us = pctOf(wlats, 0.50)
 			res.WriteP95Us = pctOf(wlats, 0.95)
@@ -397,9 +387,10 @@ func main() {
 	if *jsonOut != "" {
 		prefix := fmt.Sprintf("Benchmark%s/dataset=%s/qps=%d", *name, *dataset, *qps)
 		if *writeMix > 0 {
-			// Mixed runs get their own series keyed by mix and mode, so
-			// read-only names stay comparable across trajectory files.
-			prefix = fmt.Sprintf("%s/mix=%d/mode=%s", prefix, int(math.Round(*writeMix*100)), *maintMode)
+			// Mixed runs get their own series keyed by mix, so read-only
+			// names stay comparable across trajectory files; mode=delta
+			// is the key BENCH_PR8.json recorded delta propagation under.
+			prefix = fmt.Sprintf("%s/mix=%d/mode=delta", prefix, int(math.Round(*writeMix*100)))
 		}
 		entries := map[string]benchEntry{
 			prefix + "/p50":  {Iterations: int64(len(lats)), NsPerOp: res.P50Us * 1e3},

@@ -93,7 +93,7 @@ func main() {
 			fail("unknown strategy %q", *strategy)
 		}
 		var used []int
-		res, used, err = core.Answer(q, x, strat)
+		res, used, _, err = core.Answer(q, x, strat, core.Options{})
 		if err != nil {
 			fail("%v", err)
 		}
@@ -121,9 +121,9 @@ func main() {
 		}
 		switch *engine {
 		case "sim":
-			res = simulation.Simulate(r, q)
+			res = simulation.Simulate(r, q, simulation.Options{})
 		case "dual":
-			res = simulation.SimulateDual(r, q)
+			res = simulation.SimulateDual(r, q, simulation.Options{})
 		case "strong":
 			res = simulation.SimulateStrong(r, q)
 		default:

@@ -120,7 +120,6 @@ func main() {
 		publishEvery = flag.Duration("publish-every", 0, "republish the snapshot on this period when updates are pending (<=0 off)")
 		publishAfter = flag.Int("publish-after", 0, "publish once this many updates accumulated (<=0 off)")
 		flushAfter   = flag.Int("flush-after", 0, "buffer updates in the coalescing feed until this many deltas accumulated (<=0 = propagate immediately)")
-		maintMode    = flag.String("maint", "delta", "view maintenance mode: delta (affected-area propagation) or remat (full recompute baseline)")
 		dataDir      = flag.String("data-dir", "", "durable store directory (checkpoint snapshot + write-ahead log); empty = ephemeral, updates lost on restart")
 		walSync      = flag.String("wal-sync", "always", "WAL durability for acknowledged updates: always (fsync per record), none, or a group-commit interval like 50ms")
 		useMmap      = flag.Bool("mmap", false, "memory-map checkpoint part files at load instead of reading them (zero-copy column adoption; unix only, falls back to reads elsewhere)")
@@ -129,15 +128,6 @@ func main() {
 		quiet        = flag.Bool("quiet", false, "disable the per-request access log")
 	)
 	flag.Parse()
-
-	var rematerialize bool
-	switch *maintMode {
-	case "delta":
-	case "remat":
-		rematerialize = true
-	default:
-		fail("unknown -maint %q (want delta or remat)", *maintMode)
-	}
 
 	vs := loadViews(*graphPath, *viewsPath, *dataset, *labels, *seed)
 
@@ -191,7 +181,6 @@ func main() {
 		PublishEvery:      *publishEvery,
 		PublishAfter:      *publishAfter,
 		FlushAfter:        *flushAfter,
-		Rematerialize:     rematerialize,
 		Store:             st,
 		PersistExtensions: *persistExts,
 		WALBacklogBytes:   *walBacklog,

@@ -67,7 +67,7 @@ func main() {
 	if *shards > 1 {
 		r = graph.Shard(r, *shards)
 	}
-	x := view.Materialize(r, vs)
+	x, _ := view.Materialize(r, vs, view.Options{})
 
 	w := os.Stdout
 	if *out != "" {

@@ -9,10 +9,11 @@ package graphviews
 // the pattern's SCC condensation — fanned out over a bounded worker
 // pool, and with cooperative cancellation through a context.
 //
-// Every Engine method produces results byte-identical to its sequential
-// counterpart at any parallelism; the package-level functions are thin
-// wrappers over a single-worker engine. Engines are immutable after
-// construction and safe for concurrent use.
+// Every Engine method calls the same internal function as its
+// package-level counterpart: the engine fills that function's Options
+// (context, worker bound, scratch pool), the package-level wrapper
+// passes the zero value. Results are byte-identical at any parallelism.
+// Engines are immutable after construction and safe for concurrent use.
 
 import (
 	"context"
@@ -179,6 +180,17 @@ func (e *Engine) WithRequest(ctx context.Context) *Engine {
 	return &d
 }
 
+// viewOptions and coreOptions are where the engine's context, worker
+// bound and scratch pools enter the internal packages; the package-level
+// wrappers in graphviews.go pass the zero Options (sequential, transient).
+func (e *Engine) viewOptions() view.Options {
+	return view.Options{Ctx: e.ctx, Workers: e.parallelism, Pool: e.simScratch}
+}
+
+func (e *Engine) coreOptions() core.Options {
+	return core.Options{Ctx: e.ctx, Workers: e.parallelism, Pool: e.mjScratch}
+}
+
 // Materialize evaluates every view over g concurrently (one worker task
 // per view; spare workers accelerate bounded views' distance
 // enumeration), producing the same extensions as the package-level
@@ -192,7 +204,7 @@ func (e *Engine) Materialize(g GraphReader, vs *ViewSet) (*Extensions, error) {
 	if err != nil {
 		return nil, err
 	}
-	return view.MaterializePooled(e.ctx, r, vs, e.parallelism, e.simScratch)
+	return view.Materialize(r, vs, e.viewOptions())
 }
 
 // MaterializeDual is the dual-simulation counterpart of Materialize; it
@@ -202,19 +214,19 @@ func (e *Engine) MaterializeDual(g GraphReader, vs *ViewSet) (*Extensions, error
 	if err != nil {
 		return nil, err
 	}
-	return view.MaterializeDualPooled(e.ctx, r, vs, e.parallelism, e.simScratch)
+	return view.MaterializeDual(r, vs, e.viewOptions())
 }
 
 // BuildDistIndex builds I(V) with per-extension partial indexes computed
 // concurrently and merged keeping minimum distances.
 func (e *Engine) BuildDistIndex(x *Extensions) (*DistIndex, error) {
-	return view.BuildDistIndexWith(e.ctx, x, e.parallelism)
+	return view.BuildDistIndex(x, e.viewOptions())
 }
 
 // Contains decides Qs ⊑ V with the per-view matches computed
 // concurrently.
 func (e *Engine) Contains(q *Pattern, vs *ViewSet) (*Lambda, bool, error) {
-	return core.ContainWith(e.ctx, q, vs, e.parallelism)
+	return core.Contain(q, vs, e.coreOptions())
 }
 
 // MatchJoin evaluates q from extensions only: every query edge's match
@@ -224,7 +236,7 @@ func (e *Engine) Contains(q *Pattern, vs *ViewSet) (*Lambda, bool, error) {
 // cascade on its own worker. Results and Stats are byte-identical to the
 // package-level MatchJoin at every parallelism.
 func (e *Engine) MatchJoin(q *Pattern, x *Extensions, l *Lambda) (*Result, Stats, error) {
-	return core.MatchJoinPooled(e.ctx, q, x, l, e.parallelism, e.mjScratch)
+	return core.MatchJoin(q, x, l, e.coreOptions())
 }
 
 // Answer computes Q(G) from materialized extensions only, like the
@@ -232,7 +244,7 @@ func (e *Engine) MatchJoin(q *Pattern, x *Extensions, l *Lambda) (*Result, Stats
 // the per-SCC MatchJoin fixpoint parallelized. The Stats expose the
 // MatchJoin work counters.
 func (e *Engine) Answer(q *Pattern, x *Extensions, s Strategy) (*Result, []int, Stats, error) {
-	return core.AnswerPooled(e.ctx, q, x, s, e.parallelism, e.mjScratch)
+	return core.Answer(q, x, s, e.coreOptions())
 }
 
 // Maintain materializes vs over g through the engine's worker pool and
@@ -243,7 +255,7 @@ func (e *Engine) Answer(q *Pattern, x *Extensions, s Strategy) (*Result, []int, 
 // engine entry point that requires the mutable *Graph (it writes); it
 // never freezes, since a snapshot would immediately go stale.
 func (e *Engine) Maintain(g *Graph, vs *ViewSet) (*Maintained, error) {
-	return view.NewMaintainedWith(e.ctx, g, vs, e.parallelism)
+	return view.NewMaintained(g, vs, view.Options{Ctx: e.ctx, Workers: e.parallelism})
 }
 
 // MaintainFrom is Maintain with the initial materialization already in

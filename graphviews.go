@@ -20,7 +20,8 @@
 //   - containment analysis: Contains, MinimalViews (quadratic),
 //     MinimumViews (greedy O(log|Ep|)-approximation of the NP-complete
 //     minimum problem), and QueryContained (classical containment);
-//   - view-based evaluation: Answer and MatchJoin/BMatchJoin;
+//   - view-based evaluation: Answer and MatchJoin (which is BMatchJoin
+//     on bounded patterns);
 //   - a concurrent pipeline: NewEngine with WithParallelism /
 //     WithContext / WithShards runs materialization, containment and
 //     MatchJoin seeding over a worker pool with cancellation — and,
@@ -191,11 +192,13 @@ func StrPred(attr string, op Op, val string) Predicate { return pattern.StrPred(
 // (all bounds 1), bounded simulation otherwise. This is the paper's
 // baseline Match/BMatch. g may be the mutable *Graph or a Freeze
 // snapshot; results are identical across backends.
-func Match(g GraphReader, q *Pattern) *Result { return simulation.Simulate(g, q) }
+func Match(g GraphReader, q *Pattern) *Result { return simulation.Simulate(g, q, simulation.Options{}) }
 
 // MatchDual evaluates q under dual simulation (forward and backward
 // conditions; Section VIII extension).
-func MatchDual(g GraphReader, q *Pattern) *Result { return simulation.SimulateDual(g, q) }
+func MatchDual(g GraphReader, q *Pattern) *Result {
+	return simulation.SimulateDual(g, q, simulation.Options{})
+}
 
 // MatchStrong evaluates q under strong simulation (dual simulation within
 // locality balls; Section VIII extension).
@@ -208,15 +211,24 @@ func Define(name string, p *Pattern) *ViewDefinition { return view.Define(name, 
 func NewViewSet(defs ...*ViewDefinition) *ViewSet { return view.NewSet(defs...) }
 
 // Materialize evaluates every view over g, producing the extensions V(G).
-func Materialize(g GraphReader, vs *ViewSet) *Extensions { return view.Materialize(g, vs) }
+func Materialize(g GraphReader, vs *ViewSet) *Extensions {
+	x, _ := view.Materialize(g, vs, view.Options{}) // no context, no error
+	return x
+}
 
 // BuildDistIndex builds the distance index I(V) over materialized
 // extensions (Section VI-A).
-func BuildDistIndex(x *Extensions) *DistIndex { return view.BuildDistIndex(x) }
+func BuildDistIndex(x *Extensions) *DistIndex {
+	idx, _ := view.BuildDistIndex(x, view.Options{})
+	return idx
+}
 
 // NewMaintained materializes vs over g and keeps the extensions in sync
 // under InsertEdge/DeleteEdge.
-func NewMaintained(g *Graph, vs *ViewSet) *Maintained { return view.NewMaintained(g, vs) }
+func NewMaintained(g *Graph, vs *ViewSet) *Maintained {
+	m, _ := view.NewMaintained(g, vs, view.Options{})
+	return m
+}
 
 // NewFeed returns an empty change feed in front of m: Submit coalesces
 // incoming updates, Flush applies the net batch in one propagation pass.
@@ -225,7 +237,9 @@ func NewFeed(m *Maintained) *Feed { return view.NewFeed(m) }
 // Contains decides pattern containment Qs ⊑ V (Theorem 3 for plain
 // patterns, Theorem 10 for bounded ones) and returns the edge mapping λ
 // when it holds.
-func Contains(q *Pattern, vs *ViewSet) (*Lambda, bool, error) { return core.Contain(q, vs) }
+func Contains(q *Pattern, vs *ViewSet) (*Lambda, bool, error) {
+	return core.Contain(q, vs, core.Options{})
+}
 
 // MinimalViews finds a minimal subset of vs containing q (Theorem 5),
 // returning the chosen view indices and λ restricted to them.
@@ -246,13 +260,15 @@ func QueryContained(q1, q2 *Pattern) (bool, error) { return core.QueryContained(
 // MatchJoin evaluates q from extensions only, guided by λ (Fig. 2 of the
 // paper; covers BMatchJoin for bounded patterns).
 func MatchJoin(q *Pattern, x *Extensions, l *Lambda) (*Result, Stats) {
-	return core.MatchJoin(q, x, l)
+	res, st, _ := core.MatchJoin(q, x, l, core.Options{})
+	return res, st
 }
 
 // Answer computes Q(G) from materialized extensions only, selecting views
 // per the strategy. It returns ErrNotContained when q ⋢ V.
 func Answer(q *Pattern, x *Extensions, s Strategy) (*Result, []int, error) {
-	return core.Answer(q, x, s)
+	res, used, _, err := core.Answer(q, x, s, core.Options{})
+	return res, used, err
 }
 
 // MinimizePattern merges mutually simulating pattern nodes, preserving
@@ -283,7 +299,10 @@ func SelectViews(workload []*Pattern, candidates *ViewSet) (chosen []int, ok boo
 
 // MaterializeDual materializes views under dual simulation; answer with
 // DualMatchJoin via DualContains (§VIII extension).
-func MaterializeDual(g GraphReader, vs *ViewSet) *Extensions { return view.MaterializeDual(g, vs) }
+func MaterializeDual(g GraphReader, vs *ViewSet) *Extensions {
+	x, _ := view.MaterializeDual(g, vs, view.Options{})
+	return x
+}
 
 // DualContains decides containment under dual simulation semantics
 // (plain patterns only).

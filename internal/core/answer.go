@@ -30,31 +30,32 @@ const (
 // using the views (Theorem 1).
 var ErrNotContained = fmt.Errorf("core: query is not contained in the views")
 
+// Options carries what a containment check or a MatchJoin may be given
+// besides its inputs. The zero value is the sequential setting:
+// background context, one worker, transient scratch. Only the Engine
+// facade and code forwarding an Options it was handed fill the fields.
+type Options struct {
+	// Ctx is honored at every phase boundary (between per-view matches,
+	// between seeded edges, at every SCC wave barrier); a cancelled call
+	// returns Ctx.Err(). nil means context.Background().
+	Ctx context.Context
+	// Workers bounds the fan-out of the containment check's per-view
+	// matches, of MatchJoin's per-edge seeding and of its per-SCC
+	// fixpoint waves. Results and Stats are identical at every count.
+	// 0 means one worker, a negative value GOMAXPROCS.
+	Workers int
+	// Pool supplies MatchJoin's working state (see ScratchPool); nil uses
+	// a transient scratch. Containment is unaffected — its working state
+	// is bounded by the pattern sizes, not the graph.
+	Pool *ScratchPool
+}
+
 // Answer computes Q(G) from materialized extensions only. It returns
 // ErrNotContained when containment fails. The returned indices are the
-// views actually used.
-func Answer(q *pattern.Pattern, x *view.Extensions, s Strategy) (*simulation.Result, []int, error) {
-	res, idx, _, err := AnswerWith(context.Background(), q, x, s, 1)
-	return res, idx, err
-}
-
-// AnswerWith is Answer with intra-query parallelism: the containment
-// check's per-view matches (UseAll strategy), MatchJoin's per-edge
-// seeding and the per-SCC MatchJoin fixpoint waves all fan out over up
-// to workers goroutines, and the ctx is honored at every phase boundary.
+// views actually used, and the Stats expose the MatchJoin work counters.
 // The greedy Minimal/Minimum selections are order-dependent by
-// construction and stay sequential. Results are identical to Answer's at
-// every worker count; Stats are returned so engine callers can observe
-// the MatchJoin work counters.
-func AnswerWith(ctx context.Context, q *pattern.Pattern, x *view.Extensions, s Strategy, workers int) (*simulation.Result, []int, Stats, error) {
-	return AnswerPooled(ctx, q, x, s, workers, nil)
-}
-
-// AnswerPooled is AnswerWith with the MatchJoin working state drawn from
-// pool (see ScratchPool); a nil pool uses a transient scratch. The
-// containment phase is unaffected — its working state is bounded by the
-// pattern sizes, not the graph.
-func AnswerPooled(ctx context.Context, q *pattern.Pattern, x *view.Extensions, s Strategy, workers int, pool *ScratchPool) (*simulation.Result, []int, Stats, error) {
+// construction and stay sequential whatever the worker bound.
+func Answer(q *pattern.Pattern, x *view.Extensions, s Strategy, o Options) (*simulation.Result, []int, Stats, error) {
 	var (
 		idx []int
 		l   *Lambda
@@ -62,8 +63,8 @@ func AnswerPooled(ctx context.Context, q *pattern.Pattern, x *view.Extensions, s
 		err error
 		st  Stats
 	)
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
+	if o.Ctx != nil {
+		if cerr := o.Ctx.Err(); cerr != nil {
 			return nil, nil, st, cerr
 		}
 	}
@@ -73,7 +74,7 @@ func AnswerPooled(ctx context.Context, q *pattern.Pattern, x *view.Extensions, s
 	case UseMinimum:
 		idx, l, ok, err = Minimum(q, x.Set)
 	default:
-		l, ok, err = ContainWith(ctx, q, x.Set, workers)
+		l, ok, err = Contain(q, x.Set, o)
 		if ok {
 			idx = make([]int, x.Set.Card())
 			for i := range idx {
@@ -87,7 +88,7 @@ func AnswerPooled(ctx context.Context, q *pattern.Pattern, x *view.Extensions, s
 	if !ok {
 		return nil, nil, st, ErrNotContained
 	}
-	res, st, err := MatchJoinPooled(ctx, q, x, l, workers, pool)
+	res, st, err := MatchJoin(q, x, l, o)
 	if err != nil {
 		return nil, nil, st, err
 	}

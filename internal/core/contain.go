@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
+	"graphviews/internal/par"
 	"graphviews/internal/pattern"
 	"graphviews/internal/view"
 )
@@ -39,6 +41,23 @@ func buildLambda(q *pattern.Pattern, vms []*ViewMatch, chosen []int) *Lambda {
 	return l
 }
 
+// lambdaOverAll builds λ over every view of the set, and reports which
+// query edges some view covers: Qs ⊑ V iff all of them are (Proposition
+// 7; the dual and partial forms read the same table).
+func lambdaOverAll(q *pattern.Pattern, vms []*ViewMatch) (l *Lambda, covered []bool) {
+	covered = make([]bool, len(q.Edges))
+	all := make([]int, len(vms))
+	for i, vm := range vms {
+		all[i] = i
+		for qi, c := range vm.Covered {
+			if c {
+				covered[qi] = true
+			}
+		}
+	}
+	return buildLambda(q, vms, all), covered
+}
+
 // validateForContainment rejects inputs the containment machinery cannot
 // meaningfully process (notably edge-less patterns: with Ep = ∅ the
 // condition Ep = ∪ M^Qs_V holds vacuously, but a node match set can never
@@ -62,39 +81,21 @@ func allViewMatches(q *pattern.Pattern, vs *view.Set) []*ViewMatch {
 // Contain decides Qs ⊑ V (Theorem 3 / Proposition 7: Ep = ∪ M^Qs_V) and,
 // when it holds, returns the mapping λ over the full view set. It handles
 // both plain and bounded patterns (Bcontain of Section VI-B is the same
-// procedure with weighted view matches).
-func Contain(q *pattern.Pattern, vs *view.Set) (*Lambda, bool, error) {
-	return ContainWith(context.Background(), q, vs, 1)
-}
-
-// ContainWith is Contain with the per-view match computations fanned out
-// over up to workers goroutines.
-func ContainWith(ctx context.Context, q *pattern.Pattern, vs *view.Set, workers int) (*Lambda, bool, error) {
+// procedure with weighted view matches). The per-view match computations
+// fan out over the options' worker bound.
+func Contain(q *pattern.Pattern, vs *view.Set, o Options) (*Lambda, bool, error) {
 	if err := validateForContainment(q, vs); err != nil {
 		return nil, false, err
 	}
-	vms, err := ComputeViewMatches(ctx, q, vs, workers)
+	vms, err := ComputeViewMatches(o.Ctx, q, vs, par.OptionWorkers(o.Workers))
 	if err != nil {
 		return nil, false, err
 	}
-	covered := make([]bool, len(q.Edges))
-	for _, vm := range vms {
-		for qi, c := range vm.Covered {
-			if c {
-				covered[qi] = true
-			}
-		}
+	l, covered := lambdaOverAll(q, vms)
+	if slices.Contains(covered, false) {
+		return nil, false, nil
 	}
-	for _, c := range covered {
-		if !c {
-			return nil, false, nil
-		}
-	}
-	all := make([]int, vs.Card())
-	for i := range all {
-		all[i] = i
-	}
-	return buildLambda(q, vms, all), true, nil
+	return l, true, nil
 }
 
 // Minimal finds a minimal subset V' ⊆ V containing Qs (Theorem 5,
@@ -236,6 +237,6 @@ func Minimum(q *pattern.Pattern, vs *view.Set) ([]int, *Lambda, bool, error) {
 // QueryContained decides classical query containment Qs1 ⊑ Qs2
 // (Corollary 4): the single-view special case of Contain.
 func QueryContained(q1, q2 *pattern.Pattern) (bool, error) {
-	_, ok, err := Contain(q1, view.NewSet(view.Define("", q2)))
+	_, ok, err := Contain(q1, view.NewSet(view.Define("", q2)), Options{})
 	return ok, err
 }

@@ -111,7 +111,7 @@ func TestExample5ViewMatches(t *testing.T) {
 func TestExample5Contain(t *testing.T) {
 	q := fig4Qs()
 	vs := fig4Views()
-	l, ok, err := Contain(q, vs)
+	l, ok, err := Contain(q, vs, Options{})
 	if err != nil || !ok {
 		t.Fatalf("Contain = %v, %v", ok, err)
 	}
@@ -121,7 +121,7 @@ func TestExample5Contain(t *testing.T) {
 			t.Fatalf("λ(%d) empty", qi)
 		}
 	}
-	_, ok, err = Contain(q, vs.Subset([]int{0, 1}))
+	_, ok, err = Contain(q, vs.Subset([]int{0, 1}), Options{})
 	if err != nil || ok {
 		t.Fatalf("{V1,V2} should not contain Qs: %v %v", ok, err)
 	}
@@ -187,7 +187,7 @@ func TestMinimalIsMinimal(t *testing.T) {
 				rest = append(rest, v)
 			}
 		}
-		_, ok, err := Contain(q, vs.Subset(rest))
+		_, ok, err := Contain(q, vs.Subset(rest), Options{})
 		if err != nil {
 			t.Fatalf("Contain: %v", err)
 		}
@@ -245,7 +245,7 @@ func TestContainRejectsEdgelessPattern(t *testing.T) {
 	q := pattern.New("single")
 	q.AddNode("a", "A")
 	vs := fig4Views()
-	if _, _, err := Contain(q, vs); err == nil {
+	if _, _, err := Contain(q, vs, Options{}); err == nil {
 		t.Fatalf("edge-less pattern should be rejected")
 	}
 }
@@ -270,10 +270,10 @@ func TestContainPredicates(t *testing.T) {
 	vw := vWeak.AddNode("v", "video", pattern.IntPred("rate", pattern.OpGe, 3))
 	vWeak.AddEdge(uw, vw)
 
-	if _, ok, _ := Contain(q, view.NewSet(view.Define("", vEq))); !ok {
+	if _, ok, _ := Contain(q, view.NewSet(view.Define("", vEq)), Options{}); !ok {
 		t.Fatalf("equivalent predicates should contain")
 	}
-	if _, ok, _ := Contain(q, view.NewSet(view.Define("", vWeak))); ok {
+	if _, ok, _ := Contain(q, view.NewSet(view.Define("", vWeak)), Options{}); ok {
 		t.Fatalf("weaker view predicate must not count as containment")
 	}
 }
@@ -334,7 +334,7 @@ func TestBoundedCoveringRules(t *testing.T) {
 		q.AddBoundedEdge(q.AddNode("a", "A"), q.AddNode("b", "B"), qb)
 		v := pattern.New("v")
 		v.AddBoundedEdge(v.AddNode("a", "A"), v.AddNode("b", "B"), vb)
-		_, ok, err := BContain(q, view.NewSet(view.Define("", v)))
+		_, ok, err := Contain(q, view.NewSet(view.Define("", v)), Options{})
 		if err != nil {
 			t.Fatalf("BContain: %v", err)
 		}
@@ -358,8 +358,9 @@ func TestBoundedCoveringRules(t *testing.T) {
 	}
 }
 
-// TestBMinimalBMinimum run the bounded aliases on the Fig. 6 instance with
-// a generously-bounded view family.
+// TestBMinimalBMinimum runs Minimal and Minimum (the paper's Bminimal and
+// Bminimum on bounded input) on the Fig. 6 instance with a
+// generously-bounded view family.
 func TestBMinimalBMinimum(t *testing.T) {
 	q := fig6Qb()
 	// Reuse Fig. 4's views with all bounds raised to 3 so they cover the
@@ -371,14 +372,14 @@ func TestBMinimalBMinimum(t *testing.T) {
 	}
 	vs := view.NewSet(defs...)
 
-	idx, _, ok, err := BMinimal(q, vs)
+	idx, _, ok, err := Minimal(q, vs)
 	if err != nil || !ok {
 		t.Fatalf("BMinimal: %v %v", ok, err)
 	}
 	if len(idx) == 0 {
 		t.Fatalf("BMinimal chose nothing")
 	}
-	mnm, _, ok, err := BMinimum(q, vs)
+	mnm, _, ok, err := Minimum(q, vs)
 	if err != nil || !ok {
 		t.Fatalf("BMinimum: %v %v", ok, err)
 	}

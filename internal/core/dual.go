@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"graphviews/internal/graph"
 	"graphviews/internal/pattern"
@@ -134,25 +135,14 @@ func DualContain(q *pattern.Pattern, vs *view.Set) (*Lambda, bool, error) {
 		}
 	}
 	vms := make([]*ViewMatch, vs.Card())
-	covered := make([]bool, len(q.Edges))
 	for i, d := range vs.Defs {
 		vms[i] = computeDualViewMatch(q, d)
-		for qi, c := range vms[i].Covered {
-			if c {
-				covered[qi] = true
-			}
-		}
 	}
-	for _, c := range covered {
-		if !c {
-			return nil, false, nil
-		}
+	l, covered := lambdaOverAll(q, vms)
+	if slices.Contains(covered, false) {
+		return nil, false, nil
 	}
-	all := make([]int, vs.Card())
-	for i := range all {
-		all[i] = i
-	}
-	return buildLambda(q, vms, all), true, nil
+	return l, true, nil
 }
 
 // DualMatchJoin answers q from extensions materialized under dual
@@ -163,7 +153,7 @@ func DualContain(q *pattern.Pattern, vs *view.Set) (*Lambda, bool, error) {
 func DualMatchJoin(q *pattern.Pattern, x *view.Extensions, l *Lambda) (*simulation.Result, Stats) {
 	var st Stats
 	sc := new(Scratch)
-	sets, ok, scans := buildInitial(q, x, l, sc)
+	sets, ok, scans, _ := buildInitial(nil, q, x, l, 1, sc)
 	st.EdgeScans = scans
 	if !ok {
 		return simulation.Empty(q), st
@@ -281,27 +271,9 @@ func DualMatchJoin(q *pattern.Pattern, x *view.Extensions, l *Lambda) (*simulati
 // support on every incident edge in both directions. The ascending
 // compressed-universe scan yields sorted match lists directly.
 func finishDual(q *pattern.Pattern, sets []edgeSet, dstCount [][]int32, nu int, toOrig []graph.NodeID) *simulation.Result {
-	for qi := range sets {
-		if sets[qi].nAliv == 0 {
-			return simulation.Empty(q)
-		}
-	}
-	res := &simulation.Result{
-		Pattern: q,
-		Matched: true,
-		Sim:     make([][]graph.NodeID, len(q.Nodes)),
-		Edges:   make([]simulation.EdgeMatches, len(q.Edges)),
-	}
-	for qi := range sets {
-		es := &sets[qi]
-		em := &res.Edges[qi]
-		em.Pairs = make([]simulation.Pair, 0, es.nAliv)
-		em.Dists = make([]int32, 0, es.nAliv)
-		es.alive.Iterate(func(i int) bool {
-			em.Pairs = append(em.Pairs, es.pairs[i])
-			em.Dists = append(em.Dists, es.dists[i])
-			return true
-		})
+	res := survivors(q, sets)
+	if !res.Matched {
+		return res
 	}
 	for u := range q.Nodes {
 		outs, ins := q.OutEdges(u), q.InEdges(u)

@@ -91,8 +91,8 @@ func TestDualTheorem1(t *testing.T) {
 			t.Fatalf("trial %d: glued query not dual-contained\nq: %s", trial, q)
 		}
 		g := randomDataGraph(rng, labels)
-		x := view.MaterializeDual(g, vs)
-		want := simulation.SimulateDual(g, q)
+		x := materializeDual(g, vs)
+		want := simulation.SimulateDual(g, q, simulation.Options{})
 		got, _ := DualMatchJoin(q, x, l)
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: DualMatchJoin != SimulateDual\nq: %s\ngot:  %v\nwant: %v",
@@ -117,13 +117,13 @@ func TestDualMatchJoinStricterThanPlain(t *testing.T) {
 			continue
 		}
 		g := randomDataGraph(rng, labels)
-		lp, okP, _ := Contain(q, vs)
+		lp, okP, _ := Contain(q, vs, Options{})
 		ld, okD, _ := DualContain(q, vs)
 		if !okP || !okD {
 			continue
 		}
-		plain, _ := MatchJoin(q, view.Materialize(g, vs), lp)
-		dual, _ := DualMatchJoin(q, view.MaterializeDual(g, vs), ld)
+		plain, _ := seqMatchJoin(q, materialize(g, vs), lp)
+		dual, _ := DualMatchJoin(q, materializeDual(g, vs), ld)
 		if !dual.Matched {
 			continue
 		}

@@ -12,7 +12,6 @@ import (
 
 	"graphviews/internal/graph"
 	"graphviews/internal/simulation"
-	"graphviews/internal/view"
 )
 
 func TestAnswerFrozenBackendEquivalence(t *testing.T) {
@@ -28,8 +27,8 @@ func TestAnswerFrozenBackendEquivalence(t *testing.T) {
 		g := randomDataGraph(rng, labels)
 		fz := graph.Freeze(g)
 
-		xMut := view.Materialize(g, vs)
-		xFz := view.Materialize(fz, vs)
+		xMut := materialize(g, vs)
+		xFz := materialize(fz, vs)
 		for i := range xMut.Exts {
 			if !xMut.Exts[i].Result.Equal(xFz.Exts[i].Result) {
 				t.Fatalf("trial %d view %d: frozen extension differs", trial, i)
@@ -38,8 +37,8 @@ func TestAnswerFrozenBackendEquivalence(t *testing.T) {
 
 		for _, s := range []Strategy{UseAll, UseMinimal, UseMinimum} {
 			ctx := context.Background()
-			resMut, idxMut, stMut, errMut := AnswerWith(ctx, q, xMut, s, 1)
-			resFz, idxFz, stFz, errFz := AnswerWith(ctx, q, xFz, s, 1)
+			resMut, idxMut, stMut, errMut := Answer(q, xMut, s, Options{Ctx: ctx})
+			resFz, idxFz, stFz, errFz := Answer(q, xFz, s, Options{Ctx: ctx})
 			if (errMut == nil) != (errFz == nil) {
 				t.Fatalf("trial %d strategy %v: err %v vs %v", trial, s, errMut, errFz)
 			}
@@ -61,7 +60,7 @@ func TestAnswerFrozenBackendEquivalence(t *testing.T) {
 				t.Fatalf("trial %d strategy %v: stats %+v vs %+v", trial, s, stMut, stFz)
 			}
 			// Cross-check against direct evaluation on the frozen backend.
-			if want := simulation.Simulate(fz, q); !resMut.Equal(want) {
+			if want := simulation.Simulate(fz, q, simulation.Options{}); !resMut.Equal(want) {
 				t.Fatalf("trial %d strategy %v: answer != direct frozen evaluation", trial, s)
 			}
 		}

@@ -1,27 +1,21 @@
 package core
 
-// MatchJoin (Fig. 2, Section III) and BMatchJoin (Section VI-A): compute
-// Qs(G) from materialized view extensions only, without touching G.
+// MatchJoin (Fig. 2, Section III; BMatchJoin of Section VI-A for bounded
+// patterns): compute Qs(G) from materialized view extensions only,
+// without touching G.
 //
-// Three interchangeable implementations are provided:
+// There is one engine: support counters plus a removal worklist, each
+// pair touched O(1) times beyond initialization. With more than one
+// worker the seeding fans out per query edge and the fixpoint is
+// parallelized per SCC of the pattern (matchjoin_scc.go), byte-identical
+// at every worker count. The two scan-based forms of Fig. 2 that the
+// Exp-2 ablation compares (no visiting order; ascending rank order,
+// Lemma 2) live with that experiment in internal/experiments.
 //
-//   - MatchJoin: production engine. Support counters plus a removal
-//     worklist; each pair is touched O(1) times beyond initialization.
-//     MatchJoinWith is the same engine with the seeding fanned out per
-//     query edge and the fixpoint parallelized per SCC of the pattern
-//     (matchjoin_scc.go), byte-identical at every worker count.
-//   - MatchJoinRanked: the paper's Fig. 2 with the Section III
-//     "bottom-up" optimization — edges are (re)scanned in ascending rank
-//     order. Its Stats expose edge-scan counts, which reproduce Lemma 2
-//     (each match set of a DAG pattern is scanned at most once).
-//   - MatchJoinNaive: Fig. 2 with no ordering — full passes until
-//     fixpoint. This is "MatchJoin_nopt" in the Exp-2 ablation.
-//
-// All three accept bounded patterns: extension pairs carry their exact
-// path lengths, so seeding filters each query edge's union by the query
-// bound (the role the paper assigns to the distance index I(V)), after
-// which the fixpoint is identical to the plain case. BMatchJoin is an
-// explicit alias.
+// Bounded patterns need no second engine: extension pairs carry their
+// exact path lengths, so seeding filters each query edge's union by the
+// query bound (the role the paper assigns to the distance index I(V)),
+// after which the fixpoint is identical to the plain case.
 //
 // The working state is dense (PR 4): node ids in [0, universe) where
 // universe covers every id occurring in a seeded pair, per-edge CSR
@@ -48,12 +42,12 @@ import (
 // experiments (Exp-2) and the Lemma 2 test.
 type Stats struct {
 	// EdgeScans counts full scans over an edge's match set. For the
-	// scan-based variants (MatchJoinRanked, MatchJoinNaive) this is the
+	// scan-based ablation engines of internal/experiments this is the
 	// number of Fig. 2 re-scan passes; for the support-counter engines
-	// (MatchJoin, MatchJoinWith, DualMatchJoin) the cascade never
-	// re-scans a set, so EdgeScans counts the seeding passes actually
-	// performed — one per query edge seeded, stopping at the first edge
-	// whose union came up empty.
+	// (MatchJoin, DualMatchJoin) the cascade never re-scans a set, so
+	// EdgeScans counts the seeding passes actually performed — one per
+	// query edge seeded, stopping at the first edge whose union came up
+	// empty.
 	EdgeScans int
 	// PairKills counts removed candidate pairs.
 	PairKills int
@@ -114,26 +108,19 @@ func (es *edgeSet) hasDst(v int) bool {
 
 // buildInitial seeds the per-edge sets: union over λ(e) of the referenced
 // extension match sets, filtered by the query edge bound using the
-// recorded pair distances, deduplicated keeping minimum distance. scans
-// is the number of seeding passes performed (see Stats.EdgeScans).
-func buildInitial(q *pattern.Pattern, x *view.Extensions, l *Lambda, sc *Scratch) (sets []edgeSet, ok bool, scans int) {
-	sets, ok, scans, _ = buildInitialPar(context.Background(), q, x, l, 1, sc)
-	return sets, ok, scans
-}
-
-// buildInitialPar is buildInitial with the per-query-edge seeding — the
-// union + bound filter + dedup, independent across edges — fanned out
-// over up to workers goroutines. Extensions are only read; each worker
-// writes its own sets slot. An empty seeded edge short-circuits: the
-// sequential path returns before touching later edges, and parallel
-// workers stop seeding new edges once any set comes up empty. The
-// reported scan count is canonical — edges up to and including the first
-// empty one — so it is identical at every worker count even though
+// recorded pair distances, deduplicated keeping minimum distance. The
+// per-query-edge seeding — independent across edges — fans out over up
+// to workers goroutines. Extensions are only read; each worker writes
+// its own sets slot. An empty seeded edge short-circuits: the sequential
+// path returns before touching later edges, and parallel workers stop
+// seeding new edges once any set comes up empty. The reported scan count
+// (see Stats.EdgeScans) is canonical — edges up to and including the
+// first empty one — so it is identical at every worker count even though
 // parallel workers may seed a few extra edges speculatively.
 //
 // The sequential path draws pair buffers from the scratch arenas; the
 // parallel path seeds from the heap (arenas are single-goroutine).
-func buildInitialPar(ctx context.Context, q *pattern.Pattern, x *view.Extensions, l *Lambda, workers int, sc *Scratch) ([]edgeSet, bool, int, error) {
+func buildInitial(ctx context.Context, q *pattern.Pattern, x *view.Extensions, l *Lambda, workers int, sc *Scratch) ([]edgeSet, bool, int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -317,12 +304,10 @@ func indexEdgeSets(sets []edgeSet, sc *Scratch) (int, []graph.NodeID) {
 	return m, toOrig
 }
 
-// finish assembles the Result from surviving pairs; returns ∅ when any
-// edge set died. nu is the compressed universe size and toOrig the
-// compressed→original table; ascending compressed scans therefore emit
-// sorted original ids. The result is freshly heap-allocated — it must
-// not alias scratch memory.
-func finish(q *pattern.Pattern, sets []edgeSet, nu int, toOrig []graph.NodeID, sc *Scratch) *simulation.Result {
+// survivors starts the Result of a finished fixpoint, plain or dual: ∅
+// when any edge set died, else the surviving pairs of every edge, copied
+// into fresh heap slices, with the node match sets left to the caller.
+func survivors(q *pattern.Pattern, sets []edgeSet) *simulation.Result {
 	for qi := range sets {
 		if sets[qi].nAliv == 0 {
 			return simulation.Empty(q)
@@ -345,6 +330,19 @@ func finish(q *pattern.Pattern, sets []edgeSet, nu int, toOrig []graph.NodeID, s
 			return true
 		})
 		// pairs were sorted at build time; filtering preserves order.
+	}
+	return res
+}
+
+// finish assembles the Result from surviving pairs; returns ∅ when any
+// edge set died. nu is the compressed universe size and toOrig the
+// compressed→original table; ascending compressed scans therefore emit
+// sorted original ids. The result is freshly heap-allocated — it must
+// not alias scratch memory.
+func finish(q *pattern.Pattern, sets []edgeSet, nu int, toOrig []graph.NodeID, sc *Scratch) *simulation.Result {
+	res := survivors(q, sets)
+	if !res.Matched {
+		return res
 	}
 	// Derive node match sets: for a node with out-edges, the sources
 	// supported in every out-edge set (intersection — the simulation
@@ -398,44 +396,22 @@ func finish(q *pattern.Pattern, sets []edgeSet, nu int, toOrig []graph.NodeID, s
 	return res
 }
 
-// MatchJoin evaluates q over the extensions using λ (production engine).
-// Callers obtain λ from Contain, Minimal or Minimum; extensions must
-// correspond to the full view set λ was built against. This is the
-// sequential reference path: one global support-counter cascade.
-func MatchJoin(q *pattern.Pattern, x *view.Extensions, l *Lambda) (*simulation.Result, Stats) {
+// MatchJoin evaluates q over the extensions using λ. Callers obtain λ
+// from Contain, Minimal or Minimum; extensions must correspond to the
+// full view set λ was built against. With one worker it is one global
+// support-counter cascade; with more, the seeding (per-query-edge union
+// and bound filtering over the view extensions) fans out one task per
+// edge, and the removal fixpoint is decomposed by the pattern's SCC
+// condensation into reverse-topological waves of independent components
+// (see matchjoin_scc.go). Results and Stats are identical at every
+// worker count. It returns o.Ctx.Err() when cancelled during seeding or
+// at a wave barrier.
+func MatchJoin(q *pattern.Pattern, x *view.Extensions, l *Lambda, o Options) (*simulation.Result, Stats, error) {
+	workers := par.OptionWorkers(o.Workers)
+	sc := o.Pool.Get()
+	defer o.Pool.Put(sc)
 	var st Stats
-	sc := new(Scratch)
-	sets, ok, scans := buildInitial(q, x, l, sc)
-	st.EdgeScans = scans
-	if !ok {
-		return simulation.Empty(q), st
-	}
-	for qi := range sets {
-		st.InitialPairs += len(sets[qi].pairs)
-	}
-	nu, toOrig := indexEdgeSets(sets, sc)
-	return matchJoinFixpoint(q, sets, &st, nu, toOrig, sc), st
-}
-
-// MatchJoinWith is MatchJoin with both phases parallelized over up to
-// workers goroutines: the seeding (per-query-edge union and bound
-// filtering over the view extensions) fans out one task per edge, and the
-// removal fixpoint itself is decomposed by the pattern's SCC condensation
-// into reverse-topological waves of independent components (see
-// matchjoin_scc.go). Results and Stats are identical to MatchJoin's at
-// every worker count. It returns ctx.Err() when cancelled during seeding
-// or at a wave barrier.
-func MatchJoinWith(ctx context.Context, q *pattern.Pattern, x *view.Extensions, l *Lambda, workers int) (*simulation.Result, Stats, error) {
-	return MatchJoinPooled(ctx, q, x, l, workers, nil)
-}
-
-// MatchJoinPooled is MatchJoinWith drawing its working state from pool;
-// see ScratchPool. A nil pool uses a transient scratch.
-func MatchJoinPooled(ctx context.Context, q *pattern.Pattern, x *view.Extensions, l *Lambda, workers int, pool *ScratchPool) (*simulation.Result, Stats, error) {
-	sc := pool.Get()
-	defer pool.Put(sc)
-	var st Stats
-	sets, ok, scans, err := buildInitialPar(ctx, q, x, l, workers, sc)
+	sets, ok, scans, err := buildInitial(o.Ctx, q, x, l, workers, sc)
 	st.EdgeScans = scans
 	if err != nil {
 		return nil, Stats{}, err
@@ -452,7 +428,7 @@ func MatchJoinPooled(ctx context.Context, q *pattern.Pattern, x *view.Extensions
 		// bookkeeping; run the flat cascade (provably identical).
 		return matchJoinFixpoint(q, sets, &st, nu, toOrig, sc), st, nil
 	}
-	res, err := matchJoinFixpointSCC(ctx, q, sets, &st, nu, toOrig, sc, workers)
+	res, err := matchJoinFixpointSCC(o.Ctx, q, sets, &st, nu, toOrig, sc, workers)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -566,11 +542,4 @@ func matchJoinFixpoint(q *pattern.Pattern, sets []edgeSet, st *Stats, nu int, to
 	}
 	sc.giveKills(work)
 	return finish(q, sets, nu, toOrig, sc)
-}
-
-// BMatchJoin is MatchJoin for bounded pattern queries (Section VI-A). The
-// distance filtering I(V) provides in the paper is already encoded in the
-// extension pair distances, so the implementations coincide.
-func BMatchJoin(q *pattern.Pattern, x *view.Extensions, l *Lambda) (*simulation.Result, Stats) {
-	return MatchJoin(q, x, l)
 }

@@ -43,12 +43,12 @@ func assertIdentical(t *testing.T, label string, seqRes *simulation.Result, seqS
 // direct evaluation.
 func runSweep(t *testing.T, label string, q *pattern.Pattern, x *view.Extensions, l *Lambda, want *simulation.Result) {
 	t.Helper()
-	seqRes, seqSt := MatchJoin(q, x, l)
+	seqRes, seqSt := seqMatchJoin(q, x, l)
 	if want != nil && !seqRes.Equal(want) {
 		t.Fatalf("%s: sequential MatchJoin != direct evaluation\ngot:  %v\nwant: %v", label, seqRes, want)
 	}
 	for _, w := range sccWorkerSweep {
-		res, st, err := MatchJoinWith(context.Background(), q, x, l, w)
+		res, st, err := MatchJoin(q, x, l, Options{Workers: w})
 		if err != nil {
 			t.Fatalf("%s workers=%d: %v", label, w, err)
 		}
@@ -69,18 +69,13 @@ func TestMatchJoinSCCNecklace(t *testing.T) {
 			bound = pattern.Unbounded
 		}
 		q, vs := generator.Necklace(rng, k, bound)
-		l, ok, err := Contain(q, vs)
+		l, ok, err := Contain(q, vs, Options{})
 		if err != nil || !ok {
 			t.Fatalf("trial %d: necklace not contained in its views: %v %v", trial, ok, err)
 		}
 		g := generator.NecklaceGraph(rng, q, 30+rng.Intn(40), 150+rng.Intn(150))
-		x := view.Materialize(g, vs)
-		var want *simulation.Result
-		if q.IsPlain() {
-			want = simulation.Simulate(g, q)
-		} else {
-			want = simulation.SimulateBounded(g, q)
-		}
+		x := materialize(g, vs)
+		want := simulation.Simulate(g, q, simulation.Options{})
 		runSweep(t, "necklace", q, x, l, want)
 	}
 }
@@ -99,12 +94,12 @@ func TestMatchJoinSCCRandomGlued(t *testing.T) {
 			if q == nil {
 				continue
 			}
-			l, ok, err := Contain(q, vs)
+			l, ok, err := Contain(q, vs, Options{})
 			if err != nil || !ok {
 				continue
 			}
 			g := randomDataGraph(rng, labels)
-			x := view.Materialize(g, vs)
+			x := materialize(g, vs)
 			runSweep(t, "glued", q, x, l, nil)
 			tested++
 		}
@@ -123,13 +118,13 @@ func TestMatchJoinSCCEmptySeeding(t *testing.T) {
 	v := pattern.New("v")
 	v.AddEdge(v.AddNode("a", "A"), v.AddNode("b", "B"))
 	vs := view.NewSet(view.Define("", v))
-	x := view.Materialize(g, vs)
+	x := materialize(g, vs)
 	q := v.Clone()
-	l, ok, _ := Contain(q, vs)
+	l, ok, _ := Contain(q, vs, Options{})
 	if !ok {
 		t.Fatal("q ⊑ {q} must hold")
 	}
-	seqRes, seqSt := MatchJoin(q, x, l)
+	seqRes, seqSt := seqMatchJoin(q, x, l)
 	if seqRes.Matched {
 		t.Fatal("expected ∅")
 	}
@@ -137,7 +132,7 @@ func TestMatchJoinSCCEmptySeeding(t *testing.T) {
 		t.Fatalf("EdgeScans = %d, want 1 (seeding stops at the first empty edge)", seqSt.EdgeScans)
 	}
 	for _, w := range sccWorkerSweep {
-		res, st, err := MatchJoinWith(context.Background(), q, x, l, w)
+		res, st, err := MatchJoin(q, x, l, Options{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,15 +145,15 @@ func TestMatchJoinSCCEmptySeeding(t *testing.T) {
 func TestMatchJoinSCCCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	q, vs := generator.Necklace(rng, 3, 1)
-	l, ok, err := Contain(q, vs)
+	l, ok, err := Contain(q, vs, Options{})
 	if err != nil || !ok {
 		t.Fatalf("necklace not contained: %v %v", ok, err)
 	}
 	g := generator.NecklaceGraph(rng, q, 40, 200)
-	x := view.Materialize(g, vs)
+	x := materialize(g, vs)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := MatchJoinWith(ctx, q, x, l, 4); !errors.Is(err, context.Canceled) {
+	if _, _, err := MatchJoin(q, x, l, Options{Ctx: ctx, Workers: 4}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled MatchJoinWith: err = %v", err)
 	}
 }
@@ -167,12 +162,12 @@ func TestMatchJoinSCCCancellation(t *testing.T) {
 // engine reports exactly one seeding pass per query edge.
 func TestMatchJoinEdgeScansCountSeeding(t *testing.T) {
 	g, q, vs := fig3Instance()
-	l, ok, err := Contain(q, vs)
+	l, ok, err := Contain(q, vs, Options{})
 	if err != nil || !ok {
 		t.Fatalf("Qs3 ⊑ {V1,V2} expected: %v %v", ok, err)
 	}
-	x := view.Materialize(g, vs)
-	_, st := MatchJoin(q, x, l)
+	x := materialize(g, vs)
+	_, st := seqMatchJoin(q, x, l)
 	if st.EdgeScans != len(q.Edges) {
 		t.Fatalf("EdgeScans = %d, want %d (one seeding pass per edge)", st.EdgeScans, len(q.Edges))
 	}

@@ -12,7 +12,6 @@ package core
 // recovered from views.
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -52,19 +51,17 @@ func sinkInstance() (*graph.Graph, *pattern.Pattern, *view.Set, int) {
 
 func TestSinkUnionDerivation(t *testing.T) {
 	g, q, vs, u := sinkInstance()
-	l, ok, err := Contain(q, vs)
+	l, ok, err := Contain(q, vs, Options{})
 	if err != nil || !ok {
 		t.Fatalf("sink query not contained: %v %v", ok, err)
 	}
-	x := view.Materialize(g, vs)
-	want := simulation.Simulate(g, q)
+	x := materialize(g, vs)
+	want := simulation.Simulate(g, q, simulation.Options{})
 
 	engines := map[string]func() *simulation.Result{
-		"MatchJoin":       func() *simulation.Result { r, _ := MatchJoin(q, x, l); return r },
-		"MatchJoinNaive":  func() *simulation.Result { r, _ := MatchJoinNaive(q, x, l); return r },
-		"MatchJoinRanked": func() *simulation.Result { r, _ := MatchJoinRanked(q, x, l); return r },
-		"MatchJoinWith4": func() *simulation.Result {
-			r, _, err := MatchJoinWith(context.Background(), q, x, l, 4)
+		"MatchJoin": func() *simulation.Result { r, _ := seqMatchJoin(q, x, l); return r },
+		"MatchJoin4": func() *simulation.Result {
+			r, _, err := MatchJoin(q, x, l, Options{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,23 +121,21 @@ func TestSinkDerivationRandomized(t *testing.T) {
 			defs = append(defs, view.Define("", v))
 		}
 		vs := view.NewSet(defs...)
-		l, ok, err := Contain(q, vs)
+		l, ok, err := Contain(q, vs, Options{})
 		if err != nil || !ok {
 			t.Fatalf("trial %d: star not contained: %v %v", trial, ok, err)
 		}
 		g := randomDataGraph(rng, labels)
-		x := view.Materialize(g, vs)
-		want := simulation.Simulate(g, q)
+		x := materialize(g, vs)
+		want := simulation.Simulate(g, q, simulation.Options{})
 
 		results := make(map[string]*simulation.Result)
-		results["MatchJoin"], _ = MatchJoin(q, x, l)
-		results["MatchJoinNaive"], _ = MatchJoinNaive(q, x, l)
-		results["MatchJoinRanked"], _ = MatchJoinRanked(q, x, l)
-		parRes, _, err := MatchJoinWith(context.Background(), q, x, l, 4)
+		results["MatchJoin"], _ = seqMatchJoin(q, x, l)
+		parRes, _, err := MatchJoin(q, x, l, Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		results["MatchJoinWith4"] = parRes
+		results["MatchJoin4"] = parRes
 
 		for name, got := range results {
 			if !got.Equal(want) {

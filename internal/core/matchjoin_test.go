@@ -57,13 +57,13 @@ func fig1Instance() (*graph.Graph, *pattern.Pattern, *view.Set) {
 // Example 2 result exactly.
 func TestExample3AndMatchJoinFig1(t *testing.T) {
 	g, q, vs := fig1Instance()
-	l, ok, err := Contain(q, vs)
+	l, ok, err := Contain(q, vs, Options{})
 	if err != nil || !ok {
 		t.Fatalf("Example 3: Qs ⊑ V expected, got %v %v", ok, err)
 	}
-	x := view.Materialize(g, vs)
-	got, _ := MatchJoin(q, x, l)
-	want := simulation.Simulate(g, q)
+	x := materialize(g, vs)
+	got, _ := seqMatchJoin(q, x, l)
+	want := simulation.Simulate(g, q, simulation.Options{})
 	if !got.Equal(want) {
 		t.Fatalf("MatchJoin != Match on Fig. 1\ngot:  %v\nwant: %v", got, want)
 	}
@@ -74,6 +74,32 @@ func TestExample3AndMatchJoinFig1(t *testing.T) {
 }
 
 // --- Fig. 3 golden test (Example 4) ---
+
+// materialize, materializeDual and seqMatchJoin are the zero-Options
+// (sequential, never cancelled, hence error-free) forms most tests want.
+func materialize(g graph.Reader, vs *view.Set) *view.Extensions {
+	x, err := view.Materialize(g, vs, view.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return x
+}
+
+func materializeDual(g graph.Reader, vs *view.Set) *view.Extensions {
+	x, err := view.MaterializeDual(g, vs, view.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return x
+}
+
+func seqMatchJoin(q *pattern.Pattern, x *view.Extensions, l *Lambda) (*simulation.Result, Stats) {
+	res, st, err := MatchJoin(q, x, l, Options{})
+	if err != nil {
+		panic(err)
+	}
+	return res, st
+}
 
 func fig3Instance() (*graph.Graph, *pattern.Pattern, *view.Set) {
 	g := graph.New()
@@ -119,11 +145,11 @@ func fig3Instance() (*graph.Graph, *pattern.Pattern, *view.Set) {
 // fixpoint removes, yielding the Example 4 table.
 func TestExample4MatchJoin(t *testing.T) {
 	g, q, vs := fig3Instance()
-	l, ok, err := Contain(q, vs)
+	l, ok, err := Contain(q, vs, Options{})
 	if err != nil || !ok {
 		t.Fatalf("Qs3 ⊑ {V1,V2} expected: %v %v", ok, err)
 	}
-	x := view.Materialize(g, vs)
+	x := materialize(g, vs)
 
 	// The raw view extensions do hold the to-be-removed matches.
 	v2res := x.Exts[1].Result
@@ -134,8 +160,8 @@ func TestExample4MatchJoin(t *testing.T) {
 		t.Fatalf("V2(G) missing (DB2,AI1): %v", v2res.Edges[0].Pairs)
 	}
 
-	got, st := MatchJoin(q, x, l)
-	want := simulation.Simulate(g, q)
+	got, st := seqMatchJoin(q, x, l)
+	want := simulation.Simulate(g, q, simulation.Options{})
 	if !got.Equal(want) {
 		t.Fatalf("MatchJoin != Match on Fig. 3\ngot:  %v\nwant: %v", got, want)
 	}
@@ -266,8 +292,8 @@ func randomDataGraph(rng *rand.Rand, labels []string) *graph.Graph {
 	return g
 }
 
-// TestTheorem1Plain: whenever Contain holds, MatchJoin (all variants)
-// computes exactly Qs(G), across random instances.
+// TestTheorem1Plain: whenever Contain holds, MatchJoin computes exactly
+// Qs(G), across random instances.
 func TestTheorem1Plain(t *testing.T) {
 	labels := []string{"A", "B", "C"}
 	rng := rand.New(rand.NewSource(41))
@@ -278,7 +304,7 @@ func TestTheorem1Plain(t *testing.T) {
 		if q == nil {
 			continue
 		}
-		l, ok, err := Contain(q, vs)
+		l, ok, err := Contain(q, vs, Options{})
 		if err != nil {
 			t.Fatalf("Contain: %v", err)
 		}
@@ -286,20 +312,12 @@ func TestTheorem1Plain(t *testing.T) {
 			t.Fatalf("trial %d: glued query should be contained\nq: %s", trial, q)
 		}
 		g := randomDataGraph(rng, labels)
-		x := view.Materialize(g, vs)
-		want := simulation.Simulate(g, q)
+		x := materialize(g, vs)
+		want := simulation.Simulate(g, q, simulation.Options{})
 
-		got, _ := MatchJoin(q, x, l)
+		got, _ := seqMatchJoin(q, x, l)
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: MatchJoin != Match\nq: %s\ngot:  %v\nwant: %v", trial, q, got, want)
-		}
-		gotR, _ := MatchJoinRanked(q, x, l)
-		if !gotR.Equal(want) {
-			t.Fatalf("trial %d: MatchJoinRanked != Match\nq: %s", trial, q)
-		}
-		gotN, _ := MatchJoinNaive(q, x, l)
-		if !gotN.Equal(want) {
-			t.Fatalf("trial %d: MatchJoinNaive != Match\nq: %s", trial, q)
 		}
 		tested++
 	}
@@ -320,7 +338,7 @@ func TestTheorem1Bounded(t *testing.T) {
 		if q == nil {
 			continue
 		}
-		l, ok, err := BContain(q, vs)
+		l, ok, err := Contain(q, vs, Options{})
 		if err != nil {
 			t.Fatalf("BContain: %v", err)
 		}
@@ -328,20 +346,12 @@ func TestTheorem1Bounded(t *testing.T) {
 			t.Fatalf("trial %d: glued bounded query should be contained\nq: %s", trial, q)
 		}
 		g := randomDataGraph(rng, labels)
-		x := view.Materialize(g, vs)
-		want := simulation.SimulateBounded(g, q)
+		x := materialize(g, vs)
+		want := simulation.Simulate(g, q, simulation.Options{})
 
-		got, _ := BMatchJoin(q, x, l)
+		got, _ := seqMatchJoin(q, x, l)
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: BMatchJoin != BMatch\nq: %s\ngot:  %v\nwant: %v", trial, q, got, want)
-		}
-		gotR, _ := MatchJoinRanked(q, x, l)
-		if !gotR.Equal(want) {
-			t.Fatalf("trial %d: ranked variant differs on bounded pattern\nq: %s", trial, q)
-		}
-		gotN, _ := MatchJoinNaive(q, x, l)
-		if !gotN.Equal(want) {
-			t.Fatalf("trial %d: naive variant differs on bounded pattern\nq: %s", trial, q)
 		}
 		tested++
 	}
@@ -363,10 +373,10 @@ func TestAnswerStrategies(t *testing.T) {
 			continue
 		}
 		g := randomDataGraph(rng, labels)
-		x := view.Materialize(g, vs)
-		want := simulation.Simulate(g, q)
+		x := materialize(g, vs)
+		want := simulation.Simulate(g, q, simulation.Options{})
 		for _, s := range []Strategy{UseAll, UseMinimal, UseMinimum} {
-			got, used, err := Answer(q, x, s)
+			got, used, _, err := Answer(q, x, s, Options{})
 			if err != nil {
 				t.Fatalf("Answer(%v): %v", s, err)
 			}
@@ -392,56 +402,12 @@ func TestAnswerNotContained(t *testing.T) {
 	v := pattern.New("v")
 	v.AddEdge(v.AddNode("a", "A"), v.AddNode("b", "B"))
 	vs := view.NewSet(view.Define("", v))
-	x := view.Materialize(g, vs)
+	x := materialize(g, vs)
 
 	q := pattern.New("q")
 	q.AddEdge(q.AddNode("a", "A"), q.AddNode("z", "Z"))
-	if _, _, err := Answer(q, x, UseAll); err != ErrNotContained {
+	if _, _, _, err := Answer(q, x, UseAll, Options{}); err != ErrNotContained {
 		t.Fatalf("want ErrNotContained, got %v", err)
-	}
-}
-
-// TestLemma2PathPattern: for a path (DAG) pattern, the ranked variant
-// scans each match set exactly once.
-func TestLemma2PathPattern(t *testing.T) {
-	labels := []string{"A", "B", "C", "D"}
-	// Path view/query: A -> B -> C -> D as one view; query = same.
-	p := pattern.New("path")
-	prev := p.AddNode("", labels[0])
-	for i := 1; i < 4; i++ {
-		cur := p.AddNode("", labels[i])
-		p.AddEdge(prev, cur)
-		cur2 := cur
-		prev = cur2
-	}
-	vs := view.NewSet(view.Define("v", p.Clone()))
-	rng := rand.New(rand.NewSource(53))
-	g := randomDataGraph(rng, labels)
-	l, ok, err := Contain(p, vs)
-	if err != nil || !ok {
-		t.Fatalf("path ⊑ {itself} must hold: %v %v", ok, err)
-	}
-	x := view.Materialize(g, vs)
-	_, st := MatchJoinRanked(p, x, l)
-	if st.EdgeScans > len(p.Edges) {
-		t.Fatalf("Lemma 2 violated on a path pattern: %d scans for %d edges", st.EdgeScans, len(p.Edges))
-	}
-}
-
-// TestNaiveDoesMoreScansOnCycles: sanity for the Exp-2 ablation metric —
-// on a cyclic pattern where invalid matches cascade, the naive variant
-// needs at least as many scans as the ranked one.
-func TestNaiveDoesMoreScansOnCycles(t *testing.T) {
-	g, q, vs := fig3Instance()
-	l, _, _ := Contain(q, vs)
-	x := view.Materialize(g, vs)
-	_, stR := MatchJoinRanked(q, x, l)
-	_, stN := MatchJoinNaive(q, x, l)
-	if stN.EdgeScans < stR.EdgeScans {
-		t.Fatalf("naive scans (%d) < ranked scans (%d)?", stN.EdgeScans, stR.EdgeScans)
-	}
-	if stN.EdgeScans < 2*len(q.Edges) {
-		t.Fatalf("naive should need at least two passes, got %d scans", stN.EdgeScans)
 	}
 }
 
@@ -453,17 +419,17 @@ func TestMatchJoinEmptyWhenViewEmpty(t *testing.T) {
 	v := pattern.New("v")
 	v.AddEdge(v.AddNode("a", "A"), v.AddNode("b", "B"))
 	vs := view.NewSet(view.Define("", v))
-	x := view.Materialize(g, vs)
+	x := materialize(g, vs)
 	q := v.Clone()
-	l, ok, _ := Contain(q, vs)
+	l, ok, _ := Contain(q, vs, Options{})
 	if !ok {
 		t.Fatalf("q ⊑ {q} must hold")
 	}
-	res, _ := MatchJoin(q, x, l)
+	res, _ := seqMatchJoin(q, x, l)
 	if res.Matched {
 		t.Fatalf("expected ∅")
 	}
-	want := simulation.Simulate(g, q)
+	want := simulation.Simulate(g, q, simulation.Options{})
 	if !res.Equal(want) {
 		t.Fatalf("∅ results should agree")
 	}

@@ -21,6 +21,8 @@ package core
 // to the exact Qs(G).
 
 import (
+	"slices"
+
 	"graphviews/internal/graph"
 	"graphviews/internal/pattern"
 	"graphviews/internal/simulation"
@@ -48,30 +50,9 @@ func AnswerPartial(q *pattern.Pattern, x *view.Extensions) (*PartialAnswer, erro
 	if err := validateForContainment(q, x.Set); err != nil {
 		return nil, err
 	}
-	vms := allViewMatches(q, x.Set)
-	covered := make([]bool, len(q.Edges))
-	for _, vm := range vms {
-		for qi, c := range vm.Covered {
-			if c {
-				covered[qi] = true
-			}
-		}
-	}
-	all := make([]int, x.Set.Card())
-	for i := range all {
-		all[i] = i
-	}
-	l := buildLambda(q, vms, all)
-
-	exact := true
-	for _, c := range covered {
-		if !c {
-			exact = false
-			break
-		}
-	}
-	if exact {
-		res, _ := MatchJoin(q, x, l)
+	l, covered := lambdaOverAll(q, allViewMatches(q, x.Set))
+	if !slices.Contains(covered, false) {
+		res, _, _ := MatchJoin(q, x, l, Options{})
 		return &PartialAnswer{Covered: covered, Result: res, Exact: true}, nil
 	}
 
@@ -102,7 +83,7 @@ func AnswerPartial(q *pattern.Pattern, x *view.Extensions) (*PartialAnswer, erro
 		subLambda.PerEdge = append(subLambda.PerEdge, l.PerEdge[qi])
 	}
 
-	subRes, _ := MatchJoin(sub, x, subLambda)
+	subRes, _, _ := MatchJoin(sub, x, subLambda, Options{})
 
 	// Project back onto the original pattern's edge indexing.
 	res := &simulation.Result{

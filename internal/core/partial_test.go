@@ -6,14 +6,13 @@ import (
 
 	"graphviews/internal/pattern"
 	"graphviews/internal/simulation"
-	"graphviews/internal/view"
 )
 
 // TestPartialExactWhenContained: a contained query's partial answer is
 // the exact answer.
 func TestPartialExactWhenContained(t *testing.T) {
 	g, q, vs := fig1Instance()
-	x := view.Materialize(g, vs)
+	x := materialize(g, vs)
 	pa, err := AnswerPartial(q, x)
 	if err != nil {
 		t.Fatalf("AnswerPartial: %v", err)
@@ -21,7 +20,7 @@ func TestPartialExactWhenContained(t *testing.T) {
 	if !pa.Exact {
 		t.Fatalf("Fig. 1 query is contained; partial answer should be exact")
 	}
-	want := simulation.Simulate(g, q)
+	want := simulation.Simulate(g, q, simulation.Options{})
 	if !pa.Result.Equal(want) {
 		t.Fatalf("exact partial answer != direct evaluation")
 	}
@@ -41,8 +40,8 @@ func TestPartialCoverage(t *testing.T) {
 	g.AddEdge(6, emmy)
 	g.AddEdge(7, emmy)
 
-	x := view.Materialize(g, vs)
-	if _, ok, _ := Contain(q, vs); ok {
+	x := materialize(g, vs)
+	if _, ok, _ := Contain(q, vs, Options{}); ok {
 		t.Fatalf("extended query must not be contained")
 	}
 	pa, err := AnswerPartial(q, x)
@@ -66,7 +65,7 @@ func TestPartialCoverage(t *testing.T) {
 	}
 
 	// Soundness: true match sets ⊆ partial sets on covered edges.
-	want := simulation.Simulate(g, q)
+	want := simulation.Simulate(g, q, simulation.Options{})
 	if !want.Matched {
 		t.Fatalf("true answer should be nonempty")
 	}
@@ -96,12 +95,12 @@ func TestPartialSoundnessRandom(t *testing.T) {
 		if q == nil {
 			continue
 		}
-		x := view.Materialize(g, vs)
+		x := materialize(g, vs)
 		pa, err := AnswerPartial(q, x)
 		if err != nil {
 			continue // e.g. single-node query rejected
 		}
-		want := simulation.Simulate(g, q)
+		want := simulation.Simulate(g, q, simulation.Options{})
 		if !want.Matched {
 			tested++
 			continue // nothing to check: truth is empty, superset trivial

@@ -10,7 +10,6 @@ package core
 // reuse.
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -477,18 +476,18 @@ func TestDenseMatchJoinMatchesReference(t *testing.T) {
 			if q == nil {
 				continue
 			}
-			l, ok, err := Contain(q, vs)
+			l, ok, err := Contain(q, vs, Options{})
 			if err != nil || !ok {
 				continue
 			}
 			g := randomDataGraph(rng, labels)
-			x := view.Materialize(g, vs)
+			x := materialize(g, vs)
 
 			refRes, refSt := refMatchJoin(q, x, l)
-			gotRes, gotSt := MatchJoin(q, x, l)
+			gotRes, gotSt := seqMatchJoin(q, x, l)
 			assertRefIdentical(t, "sequential", refRes, refSt, gotRes, gotSt)
 			for _, w := range []int{1, 2, 4, 8} {
-				res, st, err := MatchJoinPooled(context.Background(), q, x, l, w, pool)
+				res, st, err := MatchJoin(q, x, l, Options{Workers: w, Pool: pool})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -516,16 +515,16 @@ func TestDenseMatchJoinMatchesReferenceSCC(t *testing.T) {
 			bound = pattern.Unbounded
 		}
 		q, vs := generator.Necklace(rng, k, bound)
-		l, ok, err := Contain(q, vs)
+		l, ok, err := Contain(q, vs, Options{})
 		if err != nil || !ok {
 			t.Fatalf("trial %d: necklace not contained: %v %v", trial, ok, err)
 		}
 		g := generator.NecklaceGraph(rng, q, 30+rng.Intn(40), 150+rng.Intn(150))
-		x := view.Materialize(g, vs)
+		x := materialize(g, vs)
 
 		refRes, refSt := refMatchJoin(q, x, l)
 		for _, w := range []int{1, 2, 4, 8} {
-			res, st, err := MatchJoinPooled(context.Background(), q, x, l, w, pool)
+			res, st, err := MatchJoin(q, x, l, Options{Workers: w, Pool: pool})
 			if err != nil {
 				t.Fatalf("trial %d workers=%d: %v", trial, w, err)
 			}
@@ -552,7 +551,7 @@ func TestDenseDualMatchJoinMatchesReference(t *testing.T) {
 			continue
 		}
 		g := randomDataGraph(rng, labels)
-		x := view.MaterializeDual(g, vs)
+		x := materializeDual(g, vs)
 
 		refRes, refSt := refDualMatchJoin(q, x, l)
 		gotRes, gotSt := DualMatchJoin(q, x, l)

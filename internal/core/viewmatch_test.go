@@ -204,7 +204,7 @@ func TestMinimumNearOptimal(t *testing.T) {
 func TestExample5LambdaShape(t *testing.T) {
 	q := fig4Qs()
 	vs := fig4Views()
-	l, ok, err := Contain(q, vs)
+	l, ok, err := Contain(q, vs, Options{})
 	if err != nil || !ok {
 		t.Fatalf("Contain: %v %v", ok, err)
 	}

@@ -11,7 +11,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -94,13 +93,6 @@ func (c Config) queries() int {
 	return c.QueriesPerPoint
 }
 
-func (c Config) workers() int {
-	if c.Workers == 0 {
-		return 1
-	}
-	return c.Workers
-}
-
 // input selects the graph backend the figure runners evaluate against:
 // the mutable graph as generated, a frozen CSR snapshot of it, or a
 // hash-partitioned sharding of either.
@@ -117,7 +109,7 @@ func (c Config) input(g *graph.Graph) graph.Reader {
 
 // materialize evaluates the views through the configured worker pool.
 func (c Config) materialize(g graph.Reader, vs *view.Set) *view.Extensions {
-	x, _ := view.MaterializeWith(context.Background(), g, vs, c.workers())
+	x, _ := view.Materialize(g, vs, view.Options{Workers: c.Workers})
 	return x
 }
 

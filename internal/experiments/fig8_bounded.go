@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"graphviews/internal/core"
 	"graphviews/internal/generator"
 	"graphviews/internal/pattern"
-	"graphviews/internal/simulation"
 )
 
 // Fig8i: varying |Qb| on the Amazon stand-in, fe(e)=2.
@@ -34,40 +32,14 @@ func Fig8k(cfg Config) *Figure {
 	fig := &Figure{
 		ID: "8k", Title: "Varying fe(e) (Youtube, |Qb|=(4,8))",
 		XAxis: "fe(e)", YAxis: "seconds",
-		Series: []Series{{Name: "BMatch"}, {Name: "BMatchJoin_mnl"}, {Name: "BMatchJoin_min"}},
+		Series: matchSeries(true),
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 7))
 	for _, fe := range []pattern.Bound{2, 3, 4, 5, 6} {
 		fig.XLabels = append(fig.XLabels, fmt.Sprintf("%d", fe))
 		vs := generator.BoundedSet(baseViews, fe)
 		x := cfg.materialize(g, vs)
-		var tMatch, tMnl, tMin float64
-		for qi := 0; qi < cfg.queries(); qi++ {
-			q := generator.GlueQuery(rng, vs, 4, 8)
-			var direct, got *simulation.Result
-			tMatch += timeIt(func() { direct = simulation.SimulateBounded(g, q) })
-			tMnl += timeIt(func() {
-				_, l, ok, _ := core.BMinimal(q, vs)
-				if !ok {
-					panic("experiments: bounded glued query not contained")
-				}
-				got, _ = core.BMatchJoin(q, x, l)
-			})
-			if cfg.Verify && !got.Equal(direct) {
-				panic("experiments: BMatchJoin diverged in Fig8k")
-			}
-			tMin += timeIt(func() {
-				_, l, ok, _ := core.BMinimum(q, vs)
-				if !ok {
-					panic("experiments: bounded glued query not contained")
-				}
-				got, _ = core.BMatchJoin(q, x, l)
-			})
-		}
-		n := float64(cfg.queries())
-		fig.Series[0].Values = append(fig.Series[0].Values, tMatch/n)
-		fig.Series[1].Values = append(fig.Series[1].Values, tMnl/n)
-		fig.Series[2].Values = append(fig.Series[2].Values, tMin/n)
+		cfg.measurePoint(fig, rng, g, vs, x, sizeSpec{4, 8})
 	}
 	return fig
 }
@@ -75,44 +47,6 @@ func Fig8k(cfg Config) *Figure {
 // Fig8l: varying |G| on synthetic graphs with bounded queries, fe(e)=3,
 // query (4,6).
 func Fig8l(cfg Config) *Figure {
-	vs := generator.BoundedSet(generator.SyntheticViews(10, cfg.Seed), 3)
-	fig := &Figure{
-		ID: "8l", Title: "Varying |G| (synthetic, bounded fe=3)",
-		XAxis: "|V| (|E|=2|V|)", YAxis: "seconds",
-		Series: []Series{{Name: "BMatch"}, {Name: "BMatchJoin_mnl"}, {Name: "BMatchJoin_min"}},
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 8))
-	for _, n := range syntheticSweep(cfg.Scale) {
-		fig.XLabels = append(fig.XLabels, fmt.Sprintf("%d", n))
-		g := cfg.input(generator.Uniform(n, 2*n, 10, cfg.Seed+int64(n)))
-		x := cfg.materialize(g, vs)
-		var tMatch, tMnl, tMin float64
-		for qi := 0; qi < cfg.queries(); qi++ {
-			q := generator.GlueQuery(rng, vs, 4, 6)
-			var direct, got *simulation.Result
-			tMatch += timeIt(func() { direct = simulation.SimulateBounded(g, q) })
-			tMnl += timeIt(func() {
-				_, l, ok, _ := core.BMinimal(q, vs)
-				if !ok {
-					panic("experiments: bounded glued query not contained")
-				}
-				got, _ = core.BMatchJoin(q, x, l)
-			})
-			if cfg.Verify && !got.Equal(direct) {
-				panic("experiments: BMatchJoin diverged in Fig8l")
-			}
-			tMin += timeIt(func() {
-				_, l, ok, _ := core.BMinimum(q, vs)
-				if !ok {
-					panic("experiments: bounded glued query not contained")
-				}
-				got, _ = core.BMatchJoin(q, x, l)
-			})
-		}
-		nq := float64(cfg.queries())
-		fig.Series[0].Values = append(fig.Series[0].Values, tMatch/nq)
-		fig.Series[1].Values = append(fig.Series[1].Values, tMnl/nq)
-		fig.Series[2].Values = append(fig.Series[2].Values, tMin/nq)
-	}
-	return fig
+	return runVaryG(cfg, "8l", "Varying |G| (synthetic, bounded fe=3)",
+		generator.BoundedSet(generator.SyntheticViews(10, cfg.Seed), 3), true, cfg.Seed+8)
 }

@@ -34,12 +34,12 @@ func Fig8g(cfg Config) *Figure {
 			dag := generator.RandomPattern(rng, sz.nv, sz.ne, 10, false)
 			cyc := generator.RandomPattern(rng, sz.nv, sz.ne, 10, true)
 			tDag += timeIt(func() {
-				if _, _, err := core.Contain(dag, vs); err != nil {
+				if _, _, err := core.Contain(dag, vs, core.Options{}); err != nil {
 					panic(err)
 				}
 			})
 			tCyc += timeIt(func() {
-				if _, _, err := core.Contain(cyc, vs); err != nil {
+				if _, _, err := core.Contain(cyc, vs, core.Options{}); err != nil {
 					panic(err)
 				}
 			})

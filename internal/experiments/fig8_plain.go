@@ -22,6 +22,50 @@ type sizeSpec struct{ nv, ne int }
 
 func (s sizeSpec) label() string { return fmt.Sprintf("(%d,%d)", s.nv, s.ne) }
 
+// matchSeries names the three lines of a Match-vs-MatchJoin figure; the
+// paper prefixes the algorithms for bounded patterns with B.
+func matchSeries(bounded bool) []Series {
+	b := ""
+	if bounded {
+		b = "B"
+	}
+	return []Series{{Name: b + "Match"}, {Name: b + "MatchJoin_mnl"}, {Name: b + "MatchJoin_min"}}
+}
+
+// measurePoint adds one x-axis point to a Match / MatchJoin_mnl /
+// MatchJoin_min figure: over cfg.queries() glued queries of the given
+// size it times direct evaluation against answering from the extensions
+// with a minimal and with the greedy minimum view subset (containment
+// analysis included, as in the paper), and appends the three averages to
+// the figure's series. Bounded workloads take the same path — the
+// engines dispatch on the bounds. With cfg.Verify both view-based
+// answers are held to direct evaluation.
+func (cfg Config) measurePoint(fig *Figure, rng *rand.Rand, g graph.Reader, vs *view.Set, x *view.Extensions, sz sizeSpec) {
+	var t [3]float64
+	selections := []func(*pattern.Pattern, *view.Set) ([]int, *core.Lambda, bool, error){core.Minimal, core.Minimum}
+	for qi := 0; qi < cfg.queries(); qi++ {
+		q := generator.GlueQuery(rng, vs, sz.nv, sz.ne)
+		var direct *simulation.Result
+		t[0] += timeIt(func() { direct = simulation.Simulate(g, q, simulation.Options{}) })
+		for i, sel := range selections {
+			var ans *simulation.Result
+			t[i+1] += timeIt(func() {
+				_, l, ok, err := sel(q, vs)
+				if err != nil || !ok {
+					panic(fmt.Sprintf("experiments: glued query not contained: %v", err))
+				}
+				ans, _, _ = core.MatchJoin(q, x, l, core.Options{})
+			})
+			if cfg.Verify && !ans.Equal(direct) {
+				panic("experiments: view-based answer diverged from direct evaluation in Fig" + fig.ID)
+			}
+		}
+	}
+	for i := range t {
+		fig.Series[i].Values = append(fig.Series[i].Values, t[i]/float64(cfg.queries()))
+	}
+}
+
 // runVaryQs measures Match / MatchJoin_mnl / MatchJoin_min while the
 // query size grows over one dataset (the shared engine of Fig. 8(a)-(c)).
 func runVaryQs(cfg Config, id, title string, g graph.Reader, vs *view.Set, sizes []sizeSpec, bounds pattern.Bound) *Figure {
@@ -35,13 +79,10 @@ func runVaryQs(cfg Config, id, title string, g graph.Reader, vs *view.Set, sizes
 		ID:    id,
 		Title: title,
 		XAxis: "|Qs|=(|Vp|,|Ep|)", YAxis: "seconds",
-		Series: []Series{{Name: "Match"}, {Name: "MatchJoin_mnl"}, {Name: "MatchJoin_min"}},
+		Series: matchSeries(bounds > 1),
 	}
 	if bounds > 1 {
 		fig.XAxis = fmt.Sprintf("|Qb|=(|Vp|,|Ep|,%d)", bounds)
-		fig.Series[0].Name = "BMatch"
-		fig.Series[1].Name = "BMatchJoin_mnl"
-		fig.Series[2].Name = "BMatchJoin_min"
 	}
 	fig.Notes = append(fig.Notes,
 		fmt.Sprintf("|G|=(%d,%d), card(V)=%d, |V(G)|=%d pairs (%.1f%% of |G|)",
@@ -53,36 +94,7 @@ func runVaryQs(cfg Config, id, title string, g graph.Reader, vs *view.Set, sizes
 			lbl = fmt.Sprintf("(%d,%d,%d)", sz.nv, sz.ne, bounds)
 		}
 		fig.XLabels = append(fig.XLabels, lbl)
-		var tMatch, tMnl, tMin float64
-		for qi := 0; qi < cfg.queries(); qi++ {
-			q := generator.GlueQuery(rng, vs, sz.nv, sz.ne)
-			var direct, ansMnl, ansMin *simulation.Result
-			tMatch += timeIt(func() { direct = simulation.Simulate(g, q) })
-			tMnl += timeIt(func() {
-				idx, l, ok, err := core.Minimal(q, vs)
-				if err != nil || !ok {
-					panic(fmt.Sprintf("experiments: glued query not contained: %v", err))
-				}
-				_ = idx
-				ansMnl, _ = core.MatchJoin(q, x, l)
-			})
-			tMin += timeIt(func() {
-				_, l, ok, err := core.Minimum(q, vs)
-				if err != nil || !ok {
-					panic(fmt.Sprintf("experiments: glued query not contained: %v", err))
-				}
-				ansMin, _ = core.MatchJoin(q, x, l)
-			})
-			if cfg.Verify {
-				if !ansMnl.Equal(direct) || !ansMin.Equal(direct) {
-					panic("experiments: view-based answer diverged from direct evaluation")
-				}
-			}
-		}
-		n := float64(cfg.queries())
-		fig.Series[0].Values = append(fig.Series[0].Values, tMatch/n)
-		fig.Series[1].Values = append(fig.Series[1].Values, tMnl/n)
-		fig.Series[2].Values = append(fig.Series[2].Values, tMin/n)
+		cfg.measurePoint(fig, rng, g, vs, x, sz)
 	}
 	return fig
 }
@@ -125,48 +137,22 @@ func syntheticSweep(s Scale) []int {
 	return out
 }
 
-// Fig8d: varying |G| on synthetic graphs, fixed query (4,6).
-func Fig8d(cfg Config) *Figure {
-	vs := generator.SyntheticViews(10, cfg.Seed)
-	fig := &Figure{
-		ID: "8d", Title: "Varying |G| (synthetic)",
-		XAxis: "|V| (|E|=2|V|)", YAxis: "seconds",
-		Series: []Series{{Name: "Match"}, {Name: "MatchJoin_mnl"}, {Name: "MatchJoin_min"}},
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 2))
+// runVaryG measures a fixed (4,6) query while the synthetic graph grows
+// (the shared engine of Fig. 8(d) and (l)).
+func runVaryG(cfg Config, id, title string, vs *view.Set, bounded bool, seed int64) *Figure {
+	fig := &Figure{ID: id, Title: title, XAxis: "|V| (|E|=2|V|)", YAxis: "seconds", Series: matchSeries(bounded)}
+	rng := rand.New(rand.NewSource(seed))
 	for _, n := range syntheticSweep(cfg.Scale) {
 		fig.XLabels = append(fig.XLabels, fmt.Sprintf("%d", n))
 		g := cfg.input(generator.Uniform(n, 2*n, 10, cfg.Seed+int64(n)))
-		x := cfg.materialize(g, vs)
-		var tMatch, tMnl, tMin float64
-		for qi := 0; qi < cfg.queries(); qi++ {
-			q := generator.GlueQuery(rng, vs, 4, 6)
-			var direct, got *simulation.Result
-			tMatch += timeIt(func() { direct = simulation.Simulate(g, q) })
-			tMnl += timeIt(func() {
-				_, l, ok, _ := core.Minimal(q, vs)
-				if !ok {
-					panic("experiments: glued query not contained")
-				}
-				got, _ = core.MatchJoin(q, x, l)
-			})
-			if cfg.Verify && !got.Equal(direct) {
-				panic("experiments: divergence in Fig8d")
-			}
-			tMin += timeIt(func() {
-				_, l, ok, _ := core.Minimum(q, vs)
-				if !ok {
-					panic("experiments: glued query not contained")
-				}
-				got, _ = core.MatchJoin(q, x, l)
-			})
-		}
-		n64 := float64(cfg.queries())
-		fig.Series[0].Values = append(fig.Series[0].Values, tMatch/n64)
-		fig.Series[1].Values = append(fig.Series[1].Values, tMnl/n64)
-		fig.Series[2].Values = append(fig.Series[2].Values, tMin/n64)
+		cfg.measurePoint(fig, rng, g, vs, cfg.materialize(g, vs), sizeSpec{4, 6})
 	}
 	return fig
+}
+
+// Fig8d: varying |G| on synthetic graphs, fixed query (4,6).
+func Fig8d(cfg Config) *Figure {
+	return runVaryG(cfg, "8d", "Varying |G| (synthetic)", generator.SyntheticViews(10, cfg.Seed), false, cfg.Seed+2)
 }
 
 // Fig8e: varying |G| and |Qs| together — MatchJoin_min for Q1..Q4 of
@@ -196,7 +182,7 @@ func Fig8e(cfg Config) *Figure {
 				if !ok {
 					panic("experiments: glued query not contained")
 				}
-				core.MatchJoin(q, x, l)
+				core.MatchJoin(q, x, l, core.Options{})
 			})
 			fig.Series[i].Values = append(fig.Series[i].Values, t)
 		}
@@ -233,12 +219,15 @@ func Fig8f(cfg Config) *Figure {
 			}
 			var a, b *simulation.Result
 			var sa, sb core.Stats
-			tNopt += timeIt(func() { a, sa = core.MatchJoinNaive(q, x, l) })
-			tOpt += timeIt(func() { b, sb = core.MatchJoinRanked(q, x, l) })
+			tNopt += timeIt(func() { a, sa = matchJoinNaive(q, x, l) })
+			tOpt += timeIt(func() { b, sb = matchJoinRanked(q, x, l) })
 			scansNopt += sa.EdgeScans
 			scansOpt += sb.EdgeScans
-			if cfg.Verify && !a.Equal(b) {
-				panic("experiments: nopt and optimized MatchJoin disagree")
+			if cfg.Verify {
+				want, _, _ := core.MatchJoin(q, x, l, core.Options{})
+				if !a.Equal(want) || !b.Equal(want) {
+					panic("experiments: scan-based MatchJoin disagrees with core.MatchJoin")
+				}
 			}
 		}
 		nq := float64(nQueries)

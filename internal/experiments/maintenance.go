@@ -35,7 +35,7 @@ func RunMaintenance(cfg Config) *Figure {
 		fig.XLabels = append(fig.XLabels, fmt.Sprintf("%d", n))
 		g := generator.YouTubeLike(n, m, cfg.Seed)
 
-		maintained := view.NewMaintained(g.Clone(), vs)
+		maintained, _ := view.NewMaintained(g.Clone(), vs, view.Options{})
 		shadow := g.Clone()
 
 		// Pre-draw one update stream so both strategies process the
@@ -88,12 +88,12 @@ func RunMaintenance(cfg Config) *Figure {
 				} else {
 					g2.AddEdge(s.u, s.v)
 				}
-				view.Materialize(g2, vs)
+				view.Materialize(g2, vs, view.Options{})
 			}
 		})
 
 		if cfg.Verify {
-			fresh := view.Materialize(maintained.G, vs)
+			fresh, _ := view.Materialize(maintained.G, vs, view.Options{})
 			for i := range fresh.Exts {
 				if !maintained.X.Exts[i].Result.Equal(fresh.Exts[i].Result) {
 					panic("experiments: maintained extensions diverged")

@@ -32,7 +32,7 @@ type DatasetSummary struct {
 
 // Summarize computes a DatasetSummary over nQueries glued queries.
 func Summarize(name string, g graph.Reader, vs *view.Set, seed int64, nQueries int) DatasetSummary {
-	x := view.Materialize(g, vs)
+	x, _ := view.Materialize(g, vs, view.Options{})
 	s := DatasetSummary{
 		Name:           name,
 		Nodes:          g.NumNodes(),

@@ -139,7 +139,7 @@ func TestViewsHaveMatches(t *testing.T) {
 		{"synthetic", Uniform(3000, 6000, 10, 4), SyntheticViews(10, 42)},
 	}
 	for _, c := range cases {
-		x := view.Materialize(c.g, c.vs)
+		x, _ := view.Materialize(c.g, c.vs, view.Options{})
 		matched := 0
 		for _, e := range x.Exts {
 			if e.Result.Matched {
@@ -161,7 +161,7 @@ func TestGlueQueryContained(t *testing.T) {
 			if err := q.Validate(); err != nil {
 				t.Fatalf("set %d: invalid glued query: %v", si, err)
 			}
-			_, ok, err := core.Contain(q, vs)
+			_, ok, err := core.Contain(q, vs, core.Options{})
 			if err != nil {
 				t.Fatalf("Contain: %v", err)
 			}
@@ -177,19 +177,19 @@ func TestGlueQueryBoundedContained(t *testing.T) {
 	vs := BoundedSet(AmazonViews(), 3)
 	for trial := 0; trial < 15; trial++ {
 		q := GlueQuery(rng, vs, 4, 6)
-		_, ok, err := core.BContain(q, vs)
+		_, ok, err := core.Contain(q, vs, core.Options{})
 		if err != nil || !ok {
 			t.Fatalf("trial %d: bounded glued query not contained (%v)", trial, err)
 		}
 		// Tightening query bounds below the views' preserves containment.
 		q2 := q.WithBounds(2)
-		_, ok, _ = core.BContain(q2, vs)
+		_, ok, _ = core.Contain(q2, vs, core.Options{})
 		if !ok {
 			t.Fatalf("trial %d: tightened query lost containment", trial)
 		}
 		// Loosening beyond the views must break it.
 		q3 := q.WithBounds(4)
-		_, ok, _ = core.BContain(q3, vs)
+		_, ok, _ = core.Contain(q3, vs, core.Options{})
 		if ok {
 			t.Fatalf("trial %d: query bounds above view bounds cannot be contained", trial)
 		}
@@ -238,12 +238,12 @@ func TestBoundedQueryBounds(t *testing.T) {
 func TestWorkloadEndToEnd(t *testing.T) {
 	g := YouTubeLike(2000, 6000, 21)
 	vs := YouTubeViews()
-	x := view.Materialize(g, vs)
+	x, _ := view.Materialize(g, vs, view.Options{})
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 10; trial++ {
 		q := GlueQuery(rng, vs, 4, 6)
-		want := simulation.Simulate(g, q)
-		got, _, err := core.Answer(q, x, core.UseMinimum)
+		want := simulation.Simulate(g, q, simulation.Options{})
+		got, _, _, err := core.Answer(q, x, core.UseMinimum, core.Options{})
 		if err != nil {
 			t.Fatalf("Answer: %v", err)
 		}

@@ -82,10 +82,11 @@ type Reader interface {
 	Edges(fn func(u, v NodeID) bool)
 }
 
-// Both backends must satisfy Reader.
+// Every backend must satisfy Reader.
 var (
 	_ Reader = (*Graph)(nil)
 	_ Reader = (*Frozen)(nil)
+	_ Reader = (*Sharded)(nil)
 )
 
 // AttrsCopy returns an owned copy of v's attribute map (nil when v has no

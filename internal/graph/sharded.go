@@ -434,6 +434,3 @@ func (s *Sharded) ComputeStats() Stats {
 	}
 	return st
 }
-
-// Sharded must satisfy Reader like the other backends.
-var _ Reader = (*Sharded)(nil)

@@ -20,6 +20,17 @@ func Workers(n int) int {
 	return n
 }
 
+// OptionWorkers resolves the Workers field of the engine packages'
+// Options structs, whose zero value must mean one worker (sequential):
+// 0 gives 1, anything else is resolved by Workers. It is the one place
+// that distinction is made.
+func OptionWorkers(n int) int {
+	if n == 0 {
+		return 1
+	}
+	return Workers(n)
+}
+
 // ForEach runs fn(i) for every i in [0, n), distributing iterations over
 // up to workers goroutines (workers <= 0 means GOMAXPROCS; the pool never
 // exceeds n). Iterations are handed out through a shared atomic counter,

@@ -75,11 +75,6 @@ type Config struct {
 	// update batch. Publishing always flushes first, so snapshots never
 	// miss buffered deltas.
 	FlushAfter int
-	// Rematerialize switches view maintenance to the full-recompute
-	// baseline (every relevant update rebuilds the view from scratch).
-	// Serving answers are identical; this exists to measure what the
-	// delta-propagation path saves.
-	Rematerialize bool
 	// Store is the durable graph + view store backing this server: every
 	// update batch is appended to its write-ahead log before the write
 	// is acknowledged, and every published snapshot is checkpointed into
@@ -195,9 +190,6 @@ func NewServer(g *gv.Graph, vs *gv.ViewSet, cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	if cfg.Rematerialize {
-		maint.SetForceRematerialize(true)
 	}
 	s := &Server{
 		cfg:     cfg,

@@ -455,36 +455,41 @@ func TestPublishAfterCountsBufferedDeltas(t *testing.T) {
 	}
 }
 
-// TestMaintenanceMetricsExposition drives updates through both
-// maintenance modes and checks the gvserve_maintenance_* series.
+// TestMaintenanceMetricsExposition drives updates down both maintenance
+// paths and checks the gvserve_maintenance_* series: an insertion into a
+// matched view propagates a delta; once a deletion has emptied the
+// view's extension there are no sim sets to grow from, and the next
+// relevant insertion recomputes it.
 func TestMaintenanceMetricsExposition(t *testing.T) {
 	for _, mode := range []struct {
-		name  string
-		remat bool
-		want  string
+		name    string
+		updates []string
+		want    []string
 	}{
-		{"delta", false, "gvserve_maintenance_delta_total 1"},
-		{"remat", true, "gvserve_maintenance_recompute_total 1"},
+		{"delta", []string{"add 1 5\n"},
+			[]string{"gvserve_maintenance_delta_total 1", "gvserve_maintenance_recompute_total 0", "gvserve_maintenance_batches_total 1"}},
+		{"remat", []string{"del 0 4\n", "add 1 5\n"},
+			[]string{"gvserve_maintenance_delta_total 1", "gvserve_maintenance_recompute_total 1", "gvserve_maintenance_batches_total 2"}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			_, hs, _ := newTestServer(t, Config{Rematerialize: mode.remat})
-			resp, err := http.Post(hs.URL+"/update", "text/plain", strings.NewReader("add 1 5\n"))
-			if err != nil {
-				t.Fatal(err)
+			_, hs, _ := newTestServer(t, Config{})
+			for _, up := range mode.updates {
+				resp, err := http.Post(hs.URL+"/update", "text/plain", strings.NewReader(up))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
 			}
-			resp.Body.Close()
-			resp, err = http.Get(hs.URL + "/metrics")
+			resp, err := http.Get(hs.URL + "/metrics")
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer resp.Body.Close()
 			text := readAll(t, resp)
-			for _, want := range []string{
-				mode.want,
-				"gvserve_maintenance_batches_total 1",
+			for _, want := range append(mode.want,
 				"gvserve_feed_backlog 0",
 				"gvserve_maintenance_coalesced_total 0",
-			} {
+			) {
 				if !strings.Contains(text, want) {
 					t.Fatalf("metrics missing %q in:\n%s", want, text)
 				}

@@ -21,33 +21,12 @@ import (
 	"graphviews/internal/pattern"
 )
 
-// SimulateBounded computes Qb(G) under bounded simulation. Plain patterns
-// (all bounds 1) yield exactly the Simulate result, with identical match
-// sets.
-func SimulateBounded(g graph.Reader, p *pattern.Pattern) *Result {
-	return SimulateBoundedPar(context.Background(), g, p, 1)
-}
-
-// SimulateBoundedPar is SimulateBounded with the match-set enumeration —
-// one forward BFS per matched source node, the step that records the
-// exact path lengths reused as the distance index I(V) — fanned out over
-// up to workers goroutines, observing ctx between enumeration chunks.
-// The refinement fixpoint itself stays sequential. The result is
-// identical to SimulateBounded's: enumeration partitions source nodes,
-// so no pair is produced twice, and per-edge normalization makes the
-// merge order immaterial. Under a cancelled ctx the result may be
-// partial; callers must discard it when their ctx reports cancellation.
-func SimulateBoundedPar(ctx context.Context, g graph.Reader, p *pattern.Pattern, workers int) *Result {
-	return simulateBoundedSeeded(ctx, g, p, candidates(g, p, false), workers, new(Scratch))
-}
-
-// SimulateBoundedSeeded runs the bounded refinement from the given
-// candidate sets (sorted supersets of the true match sets); see
-// SimulateSeeded.
-func SimulateBoundedSeeded(g graph.Reader, p *pattern.Pattern, cands [][]graph.NodeID) *Result {
-	return simulateBoundedSeeded(context.Background(), g, p, cands, 1, new(Scratch))
-}
-
+// simulateBoundedSeeded computes Qb(G) under bounded simulation from the
+// given candidate sets (sorted supersets of the true match sets): the
+// sequential refinement fixpoint, then the match-set enumeration over up
+// to workers goroutines. Plain patterns (all bounds 1) yield exactly the
+// plain engine's result, with identical match sets. Under a cancelled
+// ctx the result may be partial.
 func simulateBoundedSeeded(ctx context.Context, g graph.Reader, p *pattern.Pattern, cands [][]graph.NodeID, workers int, sc *Scratch) *Result {
 	simList, inSim, bfs, ok := boundedRefine(g, p, cands, sc)
 	if !ok {
@@ -62,19 +41,12 @@ func simulateBoundedSeeded(ctx context.Context, g graph.Reader, p *pattern.Patte
 // reuse by enumeration), and whether every set is nonempty.
 func boundedRefine(g graph.Reader, p *pattern.Pattern, cands [][]graph.NodeID, sc *Scratch) (simListOut [][]graph.NodeID, inSimOut *bitset.Matrix, bfsOut *graph.BFS, ok bool) {
 	n := g.NumNodes()
-
-	for u := range cands {
-		if len(cands[u]) == 0 {
-			return nil, nil, nil, false
-		}
+	inSim := sc.seedRows(cands, n)
+	if inSim == nil {
+		return nil, nil, nil, false
 	}
-	inSim := sc.matrix(len(p.Nodes), n)
 	simList := make([][]graph.NodeID, len(p.Nodes))
 	for u := range cands {
-		row := inSim.Row(u)
-		for _, v := range cands[u] {
-			row.Set(int(v))
-		}
 		// simList ends up in the Result, so it must own heap memory.
 		simList[u] = append([]graph.NodeID(nil), cands[u]...)
 	}

@@ -13,21 +13,19 @@ import (
 )
 
 // SimulateDual computes the maximum dual simulation of p in g and derives
-// per-edge match sets exactly as Simulate does. The pattern must be plain.
-func SimulateDual(g graph.Reader, p *pattern.Pattern) *Result {
-	return simulateDual(g, p, new(Scratch))
-}
-
-// SimulateDualPooled is SimulateDual over a pooled Scratch; see
-// SimulatePooled.
-func SimulateDualPooled(g graph.Reader, p *pattern.Pattern, pool *ScratchPool) *Result {
-	sc := pool.Get()
-	defer pool.Put(sc)
-	return simulateDual(g, p, sc)
-}
-
-func simulateDual(g graph.Reader, p *pattern.Pattern, sc *Scratch) *Result {
-	return simulateDualSeeded(g, p, candidates(g, p, false), sc)
+// per-edge match sets exactly as Simulate does. The pattern must be
+// plain. Of the options only Pool and Seeds apply (the fixpoint is
+// sequential and not interruptible); Seeds must have been computed
+// without the out-degree prune, which is invalid when both directions
+// are constrained.
+func SimulateDual(g graph.Reader, p *pattern.Pattern, o Options) *Result {
+	sc := o.Pool.Get()
+	defer o.Pool.Put(sc)
+	cands := o.Seeds
+	if cands == nil {
+		cands = candidates(g, p, false)
+	}
+	return simulateDualSeeded(g, p, cands, sc)
 }
 
 // simulateDualSeeded runs the dual fixpoint from the given candidate
@@ -35,17 +33,9 @@ func simulateDual(g graph.Reader, p *pattern.Pattern, sc *Scratch) *Result {
 // out-degree prune); cands is read, never written.
 func simulateDualSeeded(g graph.Reader, p *pattern.Pattern, cands [][]graph.NodeID, sc *Scratch) *Result {
 	n := g.NumNodes()
-	for u := range cands {
-		if len(cands[u]) == 0 {
-			return emptyResult(p)
-		}
-	}
-	inSim := sc.matrix(len(p.Nodes), n)
-	for u := range cands {
-		row := inSim.Row(u)
-		for _, v := range cands[u] {
-			row.Set(int(v))
-		}
+	inSim := sc.seedRows(cands, n)
+	if inSim == nil {
+		return emptyResult(p)
 	}
 
 	// suppFwd[ei·n + v]: |post(v) ∩ sim(To)| for v ∈ sim(From).
@@ -146,17 +136,5 @@ func simulateDualSeeded(g graph.Reader, p *pattern.Pattern, cands [][]graph.Node
 	}
 	sc.giveWork(work)
 
-	sim := simToSorted(inSim)
-	for u := range sim {
-		if len(sim[u]) == 0 {
-			return emptyResult(p)
-		}
-	}
-	res := &Result{Pattern: p, Matched: true, Sim: sim, Edges: make([]EdgeMatches, len(p.Edges))}
-	for ei, e := range p.Edges {
-		em := &res.Edges[ei]
-		sc.assembleEdge(g, sim[e.From], inSim.Row(e.To), em)
-		em.normalize()
-	}
-	return res
+	return sc.assemble(g, p, inSim)
 }

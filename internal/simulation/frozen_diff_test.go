@@ -36,8 +36,8 @@ func equalResults(a, b *Result) bool {
 // SimulateStrong agree across backends on random plain instances.
 func TestFrozenBackendPlainEngines(t *testing.T) {
 	engines := map[string]func(graph.Reader, *pattern.Pattern) *Result{
-		"sim":    Simulate,
-		"dual":   SimulateDual,
+		"sim":    func(g graph.Reader, p *pattern.Pattern) *Result { return Simulate(g, p, Options{}) },
+		"dual":   func(g graph.Reader, p *pattern.Pattern) *Result { return SimulateDual(g, p, Options{}) },
 		"strong": SimulateStrong,
 		"brute":  BruteSimulate,
 	}
@@ -72,8 +72,8 @@ func TestFrozenBackendBounded(t *testing.T) {
 			}
 		}
 		fz := graph.Freeze(g)
-		a := SimulateBounded(g, p)
-		b := SimulateBounded(fz, p)
+		a := simulateBounded(g, p)
+		b := simulateBounded(fz, p)
 		if !equalResults(a, b) {
 			t.Fatalf("trial %d: frozen bounded result differs\nmutable: %v\nfrozen:  %v", trial, a, b)
 		}
@@ -106,7 +106,7 @@ func TestFrozenBackendPredicates(t *testing.T) {
 			}
 		}
 		fz := graph.Freeze(g)
-		if a, b := Simulate(g, p), Simulate(fz, p); !equalResults(a, b) {
+		if a, b := Simulate(g, p, Options{}), Simulate(fz, p, Options{}); !equalResults(a, b) {
 			t.Fatalf("trial %d: predicate evaluation differs across backends", trial)
 		}
 	}

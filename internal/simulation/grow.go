@@ -39,7 +39,7 @@ func SimulateBoundedGrow(g graph.Reader, p *pattern.Pattern, cands [][]graph.Nod
 		// refinement from a seeded superset of the true sets cannot empty
 		// any of them. Reaching here means the caller broke the contract;
 		// recompute from full candidates rather than return a wrong result.
-		return SimulateBoundedSeeded(g, p, candidates(g, p, false))
+		return Simulate(g, p, Options{})
 	}
 	edges := make([]EdgeMatches, len(p.Edges))
 	for ei := range p.Edges {

@@ -398,13 +398,13 @@ func TestDenseKernelsMatchReferencePlain(t *testing.T) {
 			addRandomPreds(rng, g, p)
 		}
 		want := referenceSimulateSeeded(g, p, candidates(g, p, true))
-		if got := Simulate(g, p); !equalResults(got, want) {
+		if got := Simulate(g, p, Options{}); !equalResults(got, want) {
 			t.Fatalf("trial %d: dense plain result differs\nref:   %v\ndense: %v", trial, want, got)
 		}
 		// Same query through the warmed pool, twice: a scratch that leaks
 		// state across queries would diverge here.
 		for round := 0; round < 2; round++ {
-			if got := SimulatePooled(context.Background(), g, p, 1, pool); !equalResults(got, want) {
+			if got := Simulate(g, p, Options{Pool: pool}); !equalResults(got, want) {
 				t.Fatalf("trial %d round %d: pooled plain result differs", trial, round)
 			}
 		}
@@ -421,7 +421,7 @@ func TestDenseKernelsMatchReferenceBounded(t *testing.T) {
 		loosenBounds(rng, p)
 		want := referenceSimulateBounded(g, p, candidates(g, p, false))
 		for _, w := range []int{1, 2, 4, 8} {
-			got := SimulateFromSeeds(context.Background(), g, p, candidates(g, p, false), w, pool)
+			got := Simulate(g, p, Options{Workers: w, Pool: pool, Seeds: candidates(g, p, false)})
 			if !equalResults(got, want) {
 				t.Fatalf("trial %d workers %d: dense bounded result differs\nref:   %v\ndense: %v",
 					trial, w, want, got)
@@ -441,10 +441,10 @@ func TestDenseKernelsMatchReferenceDual(t *testing.T) {
 			addRandomPreds(rng, g, p)
 		}
 		want := referenceSimulateDual(g, p)
-		if got := SimulateDual(g, p); !equalResults(got, want) {
+		if got := SimulateDual(g, p, Options{}); !equalResults(got, want) {
 			t.Fatalf("trial %d: dense dual result differs\nref:   %v\ndense: %v", trial, want, got)
 		}
-		if got := SimulateDualPooled(g, p, pool); !equalResults(got, want) {
+		if got := SimulateDual(g, p, Options{Pool: pool}); !equalResults(got, want) {
 			t.Fatalf("trial %d: pooled dual result differs", trial)
 		}
 	}

@@ -3,7 +3,7 @@ package simulation
 // Scratch is the reusable working state of the simulation engines: bitset
 // membership rows, flat support-counter arrays, removal worklists and BFS
 // buffers, all carved from bump arenas that are reclaimed wholesale
-// between queries. A warmed Scratch lets repeated Simulate/SimulateBounded
+// between queries. A warmed Scratch lets repeated Simulate
 // calls on same-sized graphs run without allocating working state; only
 // the Result (which outlives the call) is heap-allocated.
 //
@@ -17,6 +17,7 @@ import (
 	"graphviews/internal/arena"
 	"graphviews/internal/bitset"
 	"graphviews/internal/graph"
+	"graphviews/internal/pattern"
 )
 
 // removal is one worklist entry: node match (u, v) left sim(u).
@@ -49,6 +50,25 @@ func (sc *Scratch) Reset() {
 // matrix returns a cleared rows×cols bit matrix from the word arena.
 func (sc *Scratch) matrix(rows, cols int) *bitset.Matrix {
 	return bitset.MatrixOver(rows, cols, sc.words.Make(bitset.MatrixWords(rows, cols)))
+}
+
+// seedRows returns one membership row per pattern node over n graph
+// nodes, holding the given candidate sets, or nil when some set is empty
+// (no match is possible then).
+func (sc *Scratch) seedRows(cands [][]graph.NodeID, n int) *bitset.Matrix {
+	for u := range cands {
+		if len(cands[u]) == 0 {
+			return nil
+		}
+	}
+	inSim := sc.matrix(len(cands), n)
+	for u := range cands {
+		row := inSim.Row(u)
+		for _, v := range cands[u] {
+			row.Set(int(v))
+		}
+	}
+	return inSim
 }
 
 // counters returns a zeroed int32 array from the arena.
@@ -103,6 +123,24 @@ func (sc *Scratch) assembleEdge(g graph.Reader, srcs []graph.NodeID, dst bitset.
 	for i := range em.Dists {
 		em.Dists[i] = 1
 	}
+}
+
+// assemble builds the Result of a plain or dual fixpoint from the final
+// membership rows: ∅ unless every pattern node retains a match.
+func (sc *Scratch) assemble(g graph.Reader, p *pattern.Pattern, inSim *bitset.Matrix) *Result {
+	sim := simToSorted(inSim)
+	for u := range sim {
+		if len(sim[u]) == 0 {
+			return emptyResult(p)
+		}
+	}
+	res := &Result{Pattern: p, Matched: true, Sim: sim, Edges: make([]EdgeMatches, len(p.Edges))}
+	for ei, e := range p.Edges {
+		em := &res.Edges[ei]
+		sc.assembleEdge(g, sim[e.From], inSim.Row(e.To), em)
+		em.normalize()
+	}
+	return res
 }
 
 // bfsScratch returns the reusable BFS buffer, sized for n nodes.

@@ -61,10 +61,10 @@ func condKey(sb *strings.Builder, n *pattern.Node, needOut bool) string {
 // the family (and within one pattern). The distinct conditions are
 // evaluated over up to workers goroutines. pruneOut selects the plain
 // simulation seeding (out-degree prune on plain patterns' nodes with
-// out-edges, as in SimulatePooled); pass false for dual materialization,
+// out-edges, as in Simulate); pass false for dual materialization,
 // where the prune is invalid. The returned slices are shared wherever
 // conditions coincide and must be treated as read-only; pass them to
-// SimulateFromSeeds / SimulateDualFromSeeds. Results are identical to
+// Simulate / SimulateDual as Options.Seeds. Results are identical to
 // per-pattern candidate computation at every worker count.
 //
 // Over a *graph.Sharded backend with more than one shard, each condition
@@ -75,7 +75,7 @@ func condKey(sb *strings.Builder, n *pattern.Node, needOut bool) string {
 // byte-identical to the single-backend scan.
 //
 // Under a cancelled ctx some sets may be missing; callers must check ctx
-// before using the seeds (MaterializePooled's worker pool does).
+// before using the seeds (view.Materialize's worker pool does).
 func CandidateSeeds(ctx context.Context, g graph.Reader, pats []*pattern.Pattern, workers int, pruneOut bool) [][][]graph.NodeID {
 	type cond struct {
 		cn      pattern.CompiledNode
@@ -116,7 +116,7 @@ func CandidateSeeds(ctx context.Context, g graph.Reader, pats []*pattern.Pattern
 		parts := make([][]graph.NodeID, len(conds)*k)
 		par.ForEach(ctx, workers, len(conds)*k, func(t int) {
 			c := conds[t/k]
-			parts[t] = shardCandidateSet(sh, t%k, &c.cn, c.needOut)
+			parts[t] = filterCandidates(sh, sh.ShardNodesWithLabel(t%k, c.cn.Label), &c.cn, c.needOut)
 		})
 		par.ForEach(ctx, workers, len(conds), func(ci int) {
 			sub := parts[ci*k : (ci+1)*k]
@@ -129,7 +129,7 @@ func CandidateSeeds(ctx context.Context, g graph.Reader, pats []*pattern.Pattern
 	} else {
 		par.ForEach(ctx, workers, len(conds), func(ci int) {
 			c := conds[ci]
-			c.out = candidateSet(g, &c.cn, c.needOut)
+			c.out = filterCandidates(g, g.NodesWithLabel(c.cn.Label), &c.cn, c.needOut)
 		})
 	}
 	seeds := make([][][]graph.NodeID, len(pats))
@@ -141,28 +141,4 @@ func CandidateSeeds(ctx context.Context, g graph.Reader, pats []*pattern.Pattern
 		seeds[pi] = cands
 	}
 	return seeds
-}
-
-// SimulateFromSeeds evaluates p from precomputed candidate sets (see
-// CandidateSeeds), dispatching on the pattern class exactly like
-// SimulatePooled: the plain fixpoint for plain patterns, the bounded
-// fixpoint (with workers-wide match-set enumeration) otherwise. cands is
-// read, never written or retained.
-func SimulateFromSeeds(ctx context.Context, g graph.Reader, p *pattern.Pattern, cands [][]graph.NodeID, workers int, pool *ScratchPool) *Result {
-	sc := pool.Get()
-	defer pool.Put(sc)
-	if !p.IsPlain() {
-		return simulateBoundedSeeded(ctx, g, p, cands, workers, sc)
-	}
-	return simulateSeeded(g, p, cands, sc)
-}
-
-// SimulateDualFromSeeds is the dual-simulation counterpart of
-// SimulateFromSeeds; the seeds must have been computed with pruneOut
-// false (dual semantics constrain both directions, so the out-degree
-// prune is invalid).
-func SimulateDualFromSeeds(g graph.Reader, p *pattern.Pattern, cands [][]graph.NodeID, pool *ScratchPool) *Result {
-	sc := pool.Get()
-	defer pool.Put(sc)
-	return simulateDualSeeded(g, p, cands, sc)
 }

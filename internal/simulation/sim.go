@@ -15,6 +15,7 @@ import (
 	"context"
 
 	"graphviews/internal/graph"
+	"graphviews/internal/par"
 	"graphviews/internal/pattern"
 )
 
@@ -29,20 +30,16 @@ func candidates(g graph.Reader, p *pattern.Pattern, requireOut bool) [][]graph.N
 	for u := range p.Nodes {
 		cn := pattern.CompileNode(&p.Nodes[u], g)
 		needOut := requireOut && len(p.OutEdges(u)) > 0
-		cands[u] = candidateSet(g, &cn, needOut)
+		cands[u] = filterCandidates(g, g.NodesWithLabel(cn.Label), &cn, needOut)
 	}
 	return cands
 }
 
-// candidateSet evaluates one compiled node condition over its label
-// partition.
-func candidateSet(g graph.Reader, cn *pattern.CompiledNode, needOut bool) []graph.NodeID {
-	return filterCandidates(g, g.NodesWithLabel(cn.Label), cn, needOut)
-}
-
 // filterCandidates applies a compiled node condition to one slice of a
-// label partition. It is the single filter both the global and the
-// per-shard seeding paths share, so the two can never diverge.
+// label partition: the whole partition, or one shard's (scanned with no
+// lock and no merged index; CandidateSeeds merges the per-shard lists
+// back together). It is the single filter both seeding paths share, so
+// the two can never diverge.
 func filterCandidates(g graph.Reader, labeled []graph.NodeID, cn *pattern.CompiledNode, needOut bool) []graph.NodeID {
 	out := make([]graph.NodeID, 0, len(labeled))
 	if !cn.HasPreds() {
@@ -69,68 +66,58 @@ func filterCandidates(g graph.Reader, labeled []graph.NodeID, cn *pattern.Compil
 	return out
 }
 
-// shardCandidateSet is candidateSet confined to one shard of a
-// *graph.Sharded: it scans the shard-local label partition (no lock, no
-// merged index) and yields that shard's slice of the candidate set,
-// ascending. CandidateSeeds merges the per-shard slices back together.
-func shardCandidateSet(g *graph.Sharded, si int, cn *pattern.CompiledNode, needOut bool) []graph.NodeID {
-	return filterCandidates(g, g.ShardNodesWithLabel(si, cn.Label), cn, needOut)
+// Options carries what an evaluation may be given besides the graph and
+// the pattern. The zero value is the sequential setting: background
+// context, one worker, a transient scratch, candidates computed from the
+// label index. Only the Engine facade and code forwarding an Options it
+// was handed fill the fields.
+type Options struct {
+	// Ctx is observed between the enumeration chunks of a bounded
+	// pattern; nil means context.Background(). A cancelled Ctx may leave
+	// the result partial: callers must discard it when their own context
+	// reports cancellation (view.Materialize does).
+	Ctx context.Context
+	// Workers bounds the match-set enumeration of bounded patterns — one
+	// forward BFS per matched source node, the step that records the
+	// path lengths reused as the distance index I(V). The refinement
+	// fixpoints are sequential, so results are identical at any count.
+	// 0 means one worker, a negative value GOMAXPROCS.
+	Workers int
+	// Pool supplies the working state (bitset rows, counters, worklists)
+	// and takes it back when the call completes, so steady-state callers
+	// stop allocating per query; nil uses a transient Scratch. The Result
+	// never aliases scratch memory.
+	Pool *ScratchPool
+	// Seeds are per-node candidate sets (sorted, duplicate free) that
+	// must be supersets of the true match sets: CandidateSeeds computes
+	// them once per view family, and incremental view maintenance
+	// restarts refinement from a previous result's Sim. They are read,
+	// never written or retained. nil computes them from the label index.
+	Seeds [][]graph.NodeID
 }
 
-// Simulate computes Qs(G) under graph simulation. Bounded patterns are
-// dispatched to SimulateBounded.
-func Simulate(g graph.Reader, p *pattern.Pattern) *Result {
-	return SimulatePooled(context.Background(), g, p, 1, nil)
-}
-
-// SimulatePar is Simulate with intra-query parallelism: bounded patterns
-// enumerate their match sets (the distance-index construction) over up to
-// workers goroutines, observing ctx between enumeration chunks. Plain
-// patterns are unaffected — their refinement is a sequential fixpoint —
-// so results are identical at any worker count. A cancelled ctx may leave
-// the result partial; callers must discard it when their own ctx reports
-// cancellation (view.MaterializeWith does).
-func SimulatePar(ctx context.Context, g graph.Reader, p *pattern.Pattern, workers int) *Result {
-	return SimulatePooled(ctx, g, p, workers, nil)
-}
-
-// SimulatePooled is SimulatePar drawing its working state from pool: the
-// engine's bitset rows, counters and worklists come from a pooled Scratch
-// that is returned when the call completes, so steady-state callers (the
-// Engine facade) stop allocating per query. A nil pool uses a transient
-// scratch. The Result never aliases scratch memory.
-func SimulatePooled(ctx context.Context, g graph.Reader, p *pattern.Pattern, workers int, pool *ScratchPool) *Result {
-	sc := pool.Get()
-	defer pool.Put(sc)
-	if !p.IsPlain() {
-		return simulateBoundedSeeded(ctx, g, p, candidates(g, p, false), workers, sc)
+// Simulate computes Qs(G): graph simulation for plain patterns, bounded
+// simulation (Qb(G), bounded.go) otherwise.
+func Simulate(g graph.Reader, p *pattern.Pattern, o Options) *Result {
+	sc := o.Pool.Get()
+	defer o.Pool.Put(sc)
+	plain := p.IsPlain()
+	cands := o.Seeds
+	if cands == nil {
+		cands = candidates(g, p, plain)
 	}
-	return simulateSeeded(g, p, candidates(g, p, true), sc)
-}
-
-// SimulateSeeded runs the plain-simulation refinement from the given
-// per-node candidate sets (sorted, duplicate free). The candidates must be
-// a superset of the true match sets; incremental view maintenance uses
-// this to restart refinement from a previous result after a deletion.
-func SimulateSeeded(g graph.Reader, p *pattern.Pattern, cands [][]graph.NodeID) *Result {
-	return simulateSeeded(g, p, cands, new(Scratch))
+	if !plain {
+		return simulateBoundedSeeded(o.Ctx, g, p, cands, par.OptionWorkers(o.Workers), sc)
+	}
+	return simulateSeeded(g, p, cands, sc)
 }
 
 // simulateSeeded is the plain fixpoint over scratch-backed dense state.
 func simulateSeeded(g graph.Reader, p *pattern.Pattern, cands [][]graph.NodeID, sc *Scratch) *Result {
 	n := g.NumNodes()
-
-	for u := range cands {
-		if len(cands[u]) == 0 {
-			return emptyResult(p)
-		}
-	}
-	inSim := sc.matrix(len(p.Nodes), n)
-	for u := range cands {
-		row := inSim.Row(u)
-		for _, v := range cands[u] {
-			row.Set(int(v))
-		}
+	inSim := sc.seedRows(cands, n)
+	if inSim == nil {
+		return emptyResult(p)
 	}
 
 	// supp[ei·n + v]: for edge ei=(u,u'), the number of successors of v
@@ -193,19 +180,5 @@ func simulateSeeded(g graph.Reader, p *pattern.Pattern, cands [][]graph.NodeID, 
 	}
 	sc.giveWork(work)
 
-	// Every pattern node must retain a match.
-	sim := simToSorted(inSim)
-	for u := range sim {
-		if len(sim[u]) == 0 {
-			return emptyResult(p)
-		}
-	}
-
-	res := &Result{Pattern: p, Matched: true, Sim: sim, Edges: make([]EdgeMatches, len(p.Edges))}
-	for ei, e := range p.Edges {
-		em := &res.Edges[ei]
-		sc.assembleEdge(g, sim[e.From], inSim.Row(e.To), em)
-		em.normalize()
-	}
-	return res
+	return sc.assemble(g, p, inSim)
 }

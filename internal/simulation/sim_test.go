@@ -1,12 +1,19 @@
 package simulation
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"graphviews/internal/graph"
 	"graphviews/internal/pattern"
 )
+
+// simulateBounded runs the bounded engine whatever the pattern class
+// (Simulate sends plain patterns to the plain engine).
+func simulateBounded(g graph.Reader, p *pattern.Pattern) *Result {
+	return simulateBoundedSeeded(context.Background(), g, p, candidates(g, p, false), 1, new(Scratch))
+}
 
 // fig1Graph builds the Fig. 1(a) recommendation network (see DESIGN.md §3).
 // Node ids: Bob=0 Walt=1 Mat=2 Fred=3 Mary=4 Dan=5 Pat=6 Bill=7 Jean=8 Emmy=9.
@@ -73,7 +80,7 @@ func checkEdgeSet(t *testing.T, res *Result, ei int, want []Pair) {
 func TestExample2(t *testing.T) {
 	g := fig1Graph()
 	p := fig1Qs()
-	res := Simulate(g, p)
+	res := Simulate(g, p, Options{})
 	if !res.Matched {
 		t.Fatalf("Qs should match G")
 	}
@@ -153,7 +160,7 @@ func fig3Qs() *pattern.Pattern {
 func TestExample4Simulation(t *testing.T) {
 	g := fig3Graph()
 	p := fig3Qs()
-	res := Simulate(g, p)
+	res := Simulate(g, p, Options{})
 	if !res.Matched {
 		t.Fatalf("Qs3 should match")
 	}
@@ -170,7 +177,7 @@ func TestExample8Bounded(t *testing.T) {
 	g := fig3Graph()
 	p := fig3Qs()
 	p.Edges[1].Bound = 2 // (ai,bio) within 2 hops
-	res := SimulateBounded(g, p)
+	res := simulateBounded(g, p)
 	if !res.Matched {
 		t.Fatalf("Qb should match")
 	}
@@ -197,15 +204,15 @@ func TestNoMatch(t *testing.T) {
 	a := p.AddNode("a", "A")
 	b := p.AddNode("b", "B")
 	p.AddEdge(b, a)
-	res := Simulate(g, p)
+	res := Simulate(g, p, Options{})
 	if res.Matched || res.Size() != 0 {
 		t.Fatalf("expected empty result, got %v", res)
 	}
 	// Same under bounded and dual.
-	if SimulateBounded(g, p).Matched {
+	if simulateBounded(g, p).Matched {
 		t.Fatalf("bounded should not match")
 	}
-	if SimulateDual(g, p).Matched {
+	if SimulateDual(g, p, Options{}).Matched {
 		t.Fatalf("dual should not match")
 	}
 }
@@ -215,7 +222,7 @@ func TestUnknownLabelNoMatch(t *testing.T) {
 	g.AddNode("A")
 	p := pattern.New("q")
 	p.AddNode("z", "Z")
-	if Simulate(g, p).Matched {
+	if Simulate(g, p, Options{}).Matched {
 		t.Fatalf("unknown label must not match")
 	}
 }
@@ -227,7 +234,7 @@ func TestSingleNodePattern(t *testing.T) {
 	g.AddNode("B")
 	p := pattern.New("q")
 	p.AddNode("a", "A")
-	res := Simulate(g, p)
+	res := Simulate(g, p, Options{})
 	if !res.Matched || len(res.Sim[0]) != 2 {
 		t.Fatalf("single-node pattern: %v", res.Sim)
 	}
@@ -244,7 +251,7 @@ func TestSelfLoopPattern(t *testing.T) {
 	p := pattern.New("q")
 	u := p.AddNode("u", "A")
 	p.AddEdge(u, u)
-	res := Simulate(g, p)
+	res := Simulate(g, p, Options{})
 	if !res.Matched {
 		t.Fatalf("self-loop pattern should match the 2-cycle")
 	}
@@ -268,11 +275,11 @@ func TestBoundedUnbounded(t *testing.T) {
 	pa := p.AddNode("a", "A")
 	pb := p.AddNode("b", "B")
 	p.AddBoundedEdge(pa, pb, 2)
-	if SimulateBounded(g, p).Matched {
+	if simulateBounded(g, p).Matched {
 		t.Fatalf("bound 2 must not reach distance 3")
 	}
 	p.Edges[0].Bound = 3
-	res := SimulateBounded(g, p)
+	res := simulateBounded(g, p)
 	if !res.Matched {
 		t.Fatalf("bound 3 should match")
 	}
@@ -280,7 +287,7 @@ func TestBoundedUnbounded(t *testing.T) {
 		t.Fatalf("dist = %d, want 3", d)
 	}
 	p.Edges[0].Bound = pattern.Unbounded
-	if !SimulateBounded(g, p).Matched {
+	if !simulateBounded(g, p).Matched {
 		t.Fatalf("* bound should match")
 	}
 }
@@ -289,8 +296,8 @@ func TestBoundedEqualsSimulateOnPlainPatterns(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {
 		g, p := randomInstance(rng, 3)
-		a := Simulate(g, p)
-		b := SimulateBounded(g, p)
+		a := Simulate(g, p, Options{})
+		b := simulateBounded(g, p)
 		if !a.Equal(b) {
 			t.Fatalf("trial %d: Simulate != SimulateBounded on plain pattern\nG: %v\nP: %s\nsim: %v\nbounded: %v",
 				trial, g, p, a, b)
@@ -302,7 +309,7 @@ func TestSimulateAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 80; trial++ {
 		g, p := randomInstance(rng, 3)
-		a := Simulate(g, p)
+		a := Simulate(g, p, Options{})
 		b := BruteSimulate(g, p)
 		if !a.Equal(b) {
 			t.Fatalf("trial %d: engine != brute\nG: %v\nP: %s\ngot %v\nwant %v", trial, g, p, a, b)
@@ -322,7 +329,7 @@ func TestBoundedAgainstBruteForce(t *testing.T) {
 				p.Edges[i].Bound = pattern.Bound(1 + rng.Intn(3))
 			}
 		}
-		a := SimulateBounded(g, p)
+		a := simulateBounded(g, p)
 		b := BruteBounded(g, p)
 		if !a.Equal(b) {
 			t.Fatalf("trial %d: bounded engine != brute\nG: %v\nP: %s\ngot %v\nwant %v", trial, g, p, a, b)
@@ -334,7 +341,7 @@ func TestDualAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 60; trial++ {
 		g, p := randomInstance(rng, 3)
-		a := SimulateDual(g, p)
+		a := SimulateDual(g, p, Options{})
 		b := BruteDual(g, p)
 		if !a.Equal(b) {
 			t.Fatalf("trial %d: dual engine != brute\nG: %v\nP: %s\ngot %v\nwant %v", trial, g, p, a, b)
@@ -349,7 +356,7 @@ func TestSimulationInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 40; trial++ {
 		g, p := randomInstance(rng, 3)
-		res := Simulate(g, p)
+		res := Simulate(g, p, Options{})
 		if !res.Matched {
 			continue
 		}
@@ -403,8 +410,8 @@ func TestDualSubsetOfSimulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 40; trial++ {
 		g, p := randomInstance(rng, 3)
-		s := Simulate(g, p)
-		d := SimulateDual(g, p)
+		s := Simulate(g, p, Options{})
+		d := SimulateDual(g, p, Options{})
 		if !d.Matched {
 			continue
 		}
@@ -434,8 +441,8 @@ func TestBoundedMonotoneInBounds(t *testing.T) {
 		for i := range p2.Edges {
 			p2.Edges[i].Bound = p.Edges[i].Bound + 1
 		}
-		a := SimulateBounded(g, p)
-		b := SimulateBounded(g, p2)
+		a := simulateBounded(g, p)
+		b := simulateBounded(g, p2)
 		if a.Matched && !b.Matched {
 			t.Fatalf("trial %d: larger bounds lost the match", trial)
 		}
@@ -461,7 +468,7 @@ func TestStrongSimulationBasics(t *testing.T) {
 	if !res.Matched {
 		t.Fatalf("strong simulation should match Fig. 3")
 	}
-	d := SimulateDual(g, p)
+	d := SimulateDual(g, p, Options{})
 	for u := range p.Nodes {
 		in := map[graph.NodeID]bool{}
 		for _, v := range d.Sim[u] {
@@ -507,7 +514,7 @@ func TestPredicateFiltering(t *testing.T) {
 	pu := p.AddNode("u", "user")
 	pv := p.AddNode("v", "video", pattern.IntPred("rate", pattern.OpGe, 4))
 	p.AddEdge(pu, pv)
-	res := Simulate(g, p)
+	res := Simulate(g, p, Options{})
 	if !res.Matched {
 		t.Fatalf("should match")
 	}
@@ -527,7 +534,7 @@ func TestStrongSubsetOfDualRandom(t *testing.T) {
 		if !s.Matched {
 			continue
 		}
-		d := SimulateDual(g, p)
+		d := SimulateDual(g, p, Options{})
 		if !d.Matched {
 			t.Fatalf("trial %d: strong matched but dual did not", trial)
 		}
@@ -604,8 +611,8 @@ func TestMinimizePreservesMatches(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		g, p := randomInstance(rng, 2) // few labels => merges happen
 		m := pattern.Minimize(p)
-		a := Simulate(g, p)
-		b := Simulate(g, m.P)
+		a := Simulate(g, p, Options{})
+		b := Simulate(g, m.P, Options{})
 		if a.Matched != b.Matched {
 			t.Fatalf("trial %d: minimize changed matchability\nP:%s\nmin:%s", trial, p, m.P)
 		}

@@ -86,6 +86,15 @@ func thaw(t *testing.T, r graph.Reader) *graph.Graph {
 	}
 }
 
+// materialize is the from-scratch oracle: sequential, never cancelled.
+func materialize(g graph.Reader, vs *view.Set) *view.Extensions {
+	x, err := view.Materialize(g, vs, view.Options{})
+	if err != nil {
+		panic(err)
+	}
+	return x
+}
+
 // requireSameExtensions compares maintained extensions against a fresh
 // materialization, per view, via the Result equality used by every
 // equivalence suite in the repo.
@@ -199,7 +208,7 @@ func runCrashTrial(t *testing.T, rng *rand.Rand, policy SyncPolicy, checkpoint f
 	}
 
 	// Replay through delta propagation into maintained views.
-	m := view.NewMaintained(thaw(t, s2.Base()), vs)
+	m, _ := view.NewMaintained(thaw(t, s2.Base()), vs, view.Options{})
 	feed := view.NewFeed(m)
 	for _, b := range tail {
 		feed.Submit(b...)
@@ -218,7 +227,7 @@ func runCrashTrial(t *testing.T, rng *rand.Rand, policy SyncPolicy, checkpoint f
 			}
 		}
 	}
-	requireSameExtensions(t, got, view.Materialize(oracle, vs))
+	requireSameExtensions(t, got, materialize(oracle, vs))
 }
 
 func minInt(a, b int) int {

@@ -54,7 +54,7 @@ func FuzzWALReplay(f *testing.F) {
 			g.AddNode([]string{"person", "site", "item", "tag"}[i%4])
 		}
 		n := graph.NodeID(g.NumNodes())
-		m := view.NewMaintained(g, crashViews())
+		m, _ := view.NewMaintained(g, crashViews(), view.Options{})
 		for _, b := range batches {
 			in := b[:0:0]
 			for _, up := range b {

@@ -50,9 +50,14 @@ const maniHeaderLen = 8 + 4 + 1 + 3 + 4 + 8 + 8 + 8 + 8 + 4
 // maniEntryLen is one encoded part entry.
 const maniEntryLen = 1 + 4 + 8 + 8
 
-// maxShardCount bounds k against corrupted manifests (mirrors the
-// GVSNAP01 bound).
+// maxShardCount bounds k against corrupted manifests.
 const maxShardCount = 1 << 20
+
+// Checkpoint kinds: which backend the parts reassemble into.
+const (
+	kindFrozen  = 1
+	kindSharded = 2
+)
 
 // partEntry names one immutable part file from a manifest.
 type partEntry struct {
@@ -219,7 +224,7 @@ func decodeManifest(data []byte) (*manifest, error) {
 
 // partPlan is the checkpoint-side view of a backend: its kind, shape
 // and the column sets the part writers consume. Building a plan may
-// freeze a mutable graph (like Save).
+// freeze a mutable graph.
 type partPlan struct {
 	kind    byte
 	k       int

@@ -2,15 +2,18 @@ package store
 
 // Tests of the per-shard checkpoint layout: incremental rewrites touch
 // only dirty shards, the manifest rename is the single commit point
-// (crash windows on either side recover cleanly), legacy single-file
-// snapshots migrate, extensions round-trip exactly, and zero-copy mmap
-// loads are indistinguishable from buffered reads.
+// (crash windows on either side recover cleanly), a legacy single-file
+// snapshot is refused rather than mistaken for a fresh directory,
+// extensions round-trip exactly, and zero-copy mmap loads are
+// indistinguishable from buffered reads.
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"graphviews/internal/graph"
@@ -136,47 +139,60 @@ func TestCheckpointKindChangeForcesFullRewrite(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotMigration: a data directory written by the
-// single-file GVSNAP01 era opens cleanly, and the first checkpoint
-// replaces current.snap with the manifest layout.
-func TestLegacySnapshotMigration(t *testing.T) {
+// TestLegacySnapshotRefused: a data directory holding a single-file
+// current.snap of the GVSNAP01 era and no MANIFEST must fail to open —
+// naming the file and how to migrate it — and must be left exactly as
+// found. Treating it as a fresh directory would serve an empty graph in
+// place of the operator's data, and the first checkpoint would then
+// collect the only copy.
+func TestLegacySnapshotRefused(t *testing.T) {
 	dir := t.TempDir()
-	base := graph.Freeze(richGraph())
-	f, err := os.Create(filepath.Join(dir, snapName))
-	if err != nil {
+	snap := filepath.Join(dir, snapName)
+	image := []byte("GVSNAP01 and whatever the old build wrote after it")
+	if err := os.WriteFile(snap, image, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(f, base, 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	for attempt := 0; attempt < 2; attempt++ {
+		s, err := Open(dir, Options{})
+		if err == nil {
+			s.Close()
+			t.Fatal("a directory with only a legacy current.snap opened as if fresh")
+		}
+		if msg := err.Error(); !strings.Contains(msg, snap) || !strings.Contains(msg, "pre-PR-19 build") {
+			t.Fatalf("refusal does not name the file and the way out: %v", err)
+		}
+		if got, err := os.ReadFile(snap); err != nil || !bytes.Equal(got, image) {
+			t.Fatalf("refused Open touched current.snap: %v", err)
+		}
 	}
 
+	// Beside a committed manifest the same file is superseded garbage
+	// (a pre-PR-19 build crashed between its first manifest commit and
+	// the collection): Open succeeds and removes it.
+	dir = t.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if !reflect.DeepEqual(s.Base(), base) || s.BaseVersion() != 7 {
-		t.Fatalf("legacy snapshot not loaded: version %d", s.BaseVersion())
-	}
+	base := graph.Freeze(richGraph())
 	if err := s.Checkpoint(base, nil, 8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatalf("manifest not written after migration: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapName)); !os.IsNotExist(err) {
-		t.Fatalf("legacy current.snap not collected: %v", err)
+	s.Close()
+	snap = filepath.Join(dir, snapName)
+	if err := os.WriteFile(snap, image, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	s2, err := Open(dir, Options{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("superseded current.snap beside a manifest must not block Open: %v", err)
 	}
 	defer s2.Close()
 	if !reflect.DeepEqual(s2.Base(), base) || s2.BaseVersion() != 8 {
-		t.Fatal("migrated checkpoint does not round-trip")
+		t.Fatal("manifest checkpoint not loaded")
+	}
+	if _, err := os.Stat(snap); !os.IsNotExist(err) {
+		t.Fatalf("superseded current.snap not collected: %v", err)
 	}
 }
 
@@ -187,7 +203,7 @@ func TestCheckpointExtensionsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	g := richGraph()
 	vs := crashViews()
-	x := view.Materialize(g, vs)
+	x := materialize(g, vs)
 
 	s, err := Open(dir, Options{})
 	if err != nil {
@@ -256,7 +272,7 @@ func TestMmapLoad(t *testing.T) {
 	}
 	g := richGraph()
 	vs := crashViews()
-	x := view.Materialize(g, vs)
+	x := materialize(g, vs)
 	for _, backend := range []struct {
 		name string
 		r    graph.Reader
@@ -396,7 +412,7 @@ func replayReflectedTail(t *testing.T, batches [][]view.EdgeUpdate) (*view.Maint
 			}
 		}
 	}
-	x := view.Materialize(g, vs)
+	x := materialize(g, vs)
 
 	s, err := Open(dir, Options{})
 	if err != nil {
@@ -464,7 +480,7 @@ func TestReplayReflectedTailIdempotent(t *testing.T) {
 	if m.Stats.Recomputes != 0 {
 		t.Fatalf("no-op replay rematerialized %d views", m.Stats.Recomputes)
 	}
-	requireSameExtensions(t, got, view.Materialize(m.G, vs))
+	requireSameExtensions(t, got, materialize(m.G, vs))
 }
 
 // TestReplayReflectedTailWithReversal: when the reflected suffix
@@ -482,5 +498,5 @@ func TestReplayReflectedTailWithReversal(t *testing.T) {
 	if !reflect.DeepEqual(graph.Freeze(m.G), frozenBefore) {
 		t.Fatal("replay with a reversal did not restore the checkpointed graph")
 	}
-	requireSameExtensions(t, m.SnapshotExtensions(), view.Materialize(m.G, vs))
+	requireSameExtensions(t, m.SnapshotExtensions(), materialize(m.G, vs))
 }

@@ -1,10 +1,17 @@
 package store
 
-// Aligned section codec for the per-shard checkpoint part files. The
-// single-file GVSNAP01 codec (snapshot.go) streams byte-packed frames;
-// part files instead keep every payload 8-byte aligned so a file mapped
-// into memory can hand its integer columns straight to the graph
-// backends without copying (see loadManifestGraph and mmap_unix.go):
+// Aligned section codec for the checkpoint part files: the immutable
+// graph backends are written in their existing flat-array layout
+// (graph.FrozenColumns / graph.ShardedColumns), one CRC32C-framed
+// section per column, and loading adopts each column through
+// graph.FrozenFromColumns/ShardedFromColumns — no CSR rebuild, no
+// re-sorting, no re-interning; Checkpoint∘Open is the identity on the
+// backend (reflect.DeepEqual, pinned by tests). Sections appear in a
+// fixed order per role and the reader demands exactly that order, so a
+// reordered or spliced file fails fast. Every payload is kept 8-byte
+// aligned so a file mapped into memory can hand its integer columns
+// straight to the graph backends without copying (see loadManifestGraph
+// and mmap_unix.go):
 //
 //	header (24 bytes):
 //	  magic "GVPART01" | format u32 LE | role u8 | pad u8[3] | seq u64 LE
@@ -41,14 +48,19 @@ const (
 	roleExts   = 3 // materialized view extensions
 )
 
+// maxSectionBytes caps one section payload, rejecting absurd corrupted
+// lengths before any allocation happens (2 GiB bounds a single column
+// at half a billion edges — far past serving scale).
+const maxSectionBytes = 1 << 31
+
 // partHeaderLen and partSecLen are the fixed framing sizes.
 const (
 	partHeaderLen = 24
 	partSecLen    = 24
 )
 
-// Part section tags. Global and shard parts reuse the column vocabulary
-// of the GVSNAP01 codec; extension parts have their own block tags.
+// Part section tags: one per backend column for global and shard parts;
+// extension parts have their own block tags.
 const (
 	ptagLabels    = 1  // strings: interner names, id order
 	ptagCatKeys   = 2  // strings: categorical attribute keys, sorted
@@ -203,6 +215,10 @@ func newPartReader(data []byte, role byte, seq uint64, zc bool) *partReader {
 		pr.err = fmt.Errorf("store: part role %d, manifest expects %d", data[12], role)
 		return pr
 	}
+	if data[13]|data[14]|data[15] != 0 {
+		pr.err = fmt.Errorf("store: part header padding is not zero")
+		return pr
+	}
 	if got := binary.LittleEndian.Uint64(data[16:]); got != seq {
 		pr.err = fmt.Errorf("store: part written at checkpoint %d, manifest expects %d", got, seq)
 		return pr
@@ -244,6 +260,16 @@ func (pr *partReader) section(tag uint32) (int, []byte) {
 	next := pr.off + partSecLen + pad8(int(plen))
 	if next > len(pr.data) {
 		pr.err = fmt.Errorf("store: part truncated inside section %d padding", tag)
+		return 0, nil
+	}
+	// Padding carries no data, but a checkpoint is atomic: a byte that
+	// is not what the writer wrote means the file is damaged.
+	pad := binary.LittleEndian.Uint32(hdr[20:])
+	for _, b := range pr.data[pr.off+partSecLen+int(plen) : next] {
+		pad |= uint32(b)
+	}
+	if pad != 0 {
+		pr.err = fmt.Errorf("store: part section %d padding is not zero", tag)
 		return 0, nil
 	}
 	pr.off = next

@@ -5,12 +5,11 @@ package store
 // files, manifest.go) and one write-ahead log (wal.log). The lifecycle
 // is
 //
-//	Open        — load the committed manifest (or migrate a legacy
-//	              single-file current.snap checkpoint), collect any
-//	              garbage a crashed checkpoint left behind, scan the
-//	              WAL, truncate any torn tail, and hand back the base
-//	              graph, its serialized view extensions and the tail of
-//	              update batches to replay;
+//	Open        — load the committed manifest, collect any garbage a
+//	              crashed checkpoint left behind, scan the WAL,
+//	              truncate any torn tail, and hand back the base graph,
+//	              its serialized view extensions and the tail of update
+//	              batches to replay;
 //	Append      — log an update batch before the serving layer
 //	              acknowledges it (durability per SyncPolicy), marking
 //	              the batch's shards dirty;
@@ -47,12 +46,12 @@ import (
 	"graphviews/internal/view"
 )
 
-// Data-directory layout. current.snap is the legacy single-file
-// snapshot (GVSNAP01, snapshot.go): still read at Open for migration,
-// never written anymore, removed by the first manifest checkpoint.
+// Data-directory layout. current.snap is the single-file checkpoint of
+// the pre-manifest (GVSNAP01) era, which this build no longer reads: a
+// directory holding one and no MANIFEST is refused at Open, and one
+// left beside a committed manifest is garbage.
 const (
 	snapName = "current.snap"
-	snapTmp  = "current.snap.tmp"
 	walName  = "wal.log"
 )
 
@@ -125,34 +124,28 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the data directory: loads the
-// committed checkpoint when one exists (manifest layout first, legacy
-// current.snap as migration fallback), removes leftovers of crashed
-// checkpoints — half-written temporaries and unreferenced part files —
-// fsyncing the directory after any removal, and scans the WAL,
+// committed checkpoint when one exists, removes leftovers of crashed
+// checkpoints — a half-written manifest temporary and unreferenced part
+// files — fsyncing the directory after any removal, and scans the WAL,
 // truncating a torn or corrupted tail at the first bad frame. The
 // returned store exposes the checkpoint via Base/BaseExtensions and
-// the replayable update batches via Tail.
+// the replayable update batches via Tail. A directory whose only
+// checkpoint is a legacy current.snap is an error, never a fresh
+// directory: its graph would silently be replaced by an empty one.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	s := &Store{dir: dir, opts: opts, dirty: make(map[int]struct{})}
-	// Leftover temporaries mean a checkpoint crashed before its rename;
-	// the committed manifest (or legacy snapshot) is still authoritative.
-	// The removals are fsynced so a later crash cannot resurrect them.
-	removed := 0
-	for _, name := range []string{snapTmp, manifestTmp} {
-		err := os.Remove(filepath.Join(dir, name))
-		if err == nil {
-			removed++
-		} else if !os.IsNotExist(err) {
-			return nil, err
-		}
-	}
-	if removed > 0 {
+	// A leftover temporary means a checkpoint crashed before its rename;
+	// the committed manifest is still authoritative. The removal is
+	// fsynced so a later crash cannot resurrect it.
+	if err := os.Remove(filepath.Join(dir, manifestTmp)); err == nil {
 		if err := syncDir(dir); err != nil {
 			return nil, err
 		}
+	} else if !os.IsNotExist(err) {
+		return nil, err
 	}
 
 	maniPath := filepath.Join(dir, manifestName)
@@ -175,19 +168,9 @@ func Open(dir string, opts Options) (*Store, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	} else {
-		// Migration: no manifest, but a legacy single-file snapshot. Load
-		// it; the first checkpoint writes the manifest layout in full and
-		// collects current.snap.
 		snapPath := filepath.Join(dir, snapName)
-		if f, err := os.Open(snapPath); err == nil {
-			g, version, lerr := Load(f)
-			if cerr := f.Close(); lerr == nil {
-				lerr = cerr
-			}
-			if lerr != nil {
-				return nil, fmt.Errorf("%s: %w", snapPath, lerr)
-			}
-			s.base, s.baseVersion = g, version
+		if _, err := os.Stat(snapPath); err == nil {
+			return nil, fmt.Errorf("store: %s is a checkpoint in the legacy single-file format, which this build no longer reads: open the directory once with a pre-PR-19 build, which migrates it to the MANIFEST layout at its first checkpoint", snapPath)
 		} else if !os.IsNotExist(err) {
 			return nil, err
 		}
@@ -268,8 +251,8 @@ func (s *Store) markDirty(batch []view.EdgeUpdate) {
 }
 
 // MarkAllDirty forces the next checkpoint to rewrite every part,
-// ignoring the incremental dirty set. Open leaves a fresh or migrated
-// directory in this state already; callers need it only to checkpoint
+// ignoring the incremental dirty set. Open leaves a fresh directory in
+// this state already; callers need it only to checkpoint
 // a graph that did not evolve from the previous checkpoint through
 // Append batches.
 func (s *Store) MarkAllDirty() {
@@ -394,11 +377,12 @@ func (s *Store) Checkpoint(g graph.Reader, x *view.Extensions, version uint64) e
 }
 
 // gc removes every file the committed manifest does not reference:
-// superseded part files, orphans of crashed checkpoints and — once a
-// manifest exists — the migrated legacy snapshot. Only names the store
-// itself writes are touched. With strict set, removal errors are
-// returned (Open's consistency pass); otherwise collection is
-// best-effort (a post-commit checkpoint must not fail over garbage).
+// superseded part files, orphans of crashed checkpoints and — only
+// because a manifest exists — a legacy current.snap it superseded. Only
+// names the store (or its predecessor) wrote are touched. With strict
+// set, removal errors are returned (Open's consistency pass); otherwise
+// collection is best-effort (a post-commit checkpoint must not fail
+// over garbage).
 func (s *Store) gc(m *manifest, strict bool) error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -407,15 +391,15 @@ func (s *Store) gc(m *manifest, strict bool) error {
 		}
 		return nil
 	}
-	referenced := make(map[string]struct{}, len(m.parts))
+	referenced := make(map[string]bool, len(m.parts))
 	for _, e := range m.parts {
-		referenced[e.name()] = struct{}{}
+		referenced[e.name()] = true
 	}
 	removed := 0
 	for _, de := range entries {
 		name := de.Name()
 		collectable := name == snapName ||
-			(strings.HasSuffix(name, ".part") && !isReferenced(referenced, name))
+			(strings.HasSuffix(name, ".part") && !referenced[name])
 		if !collectable {
 			continue
 		}
@@ -435,12 +419,6 @@ func (s *Store) gc(m *manifest, strict bool) error {
 		return err
 	}
 	return nil
-}
-
-// isReferenced reports whether a .part file belongs to the manifest.
-func isReferenced(referenced map[string]struct{}, name string) bool {
-	_, ok := referenced[name]
-	return ok
 }
 
 // WALStats exposes the log's live counters.

@@ -105,8 +105,8 @@ func TestStoreCheckpointSharded(t *testing.T) {
 	}
 }
 
-// TestStoreStaleTmpRemoved: a temporary snapshot left by a checkpoint
-// that crashed before its rename is discarded; the real snapshot wins.
+// TestStoreStaleTmpRemoved: a temporary manifest left by a checkpoint
+// that crashed before its rename is discarded; the committed one wins.
 func TestStoreStaleTmpRemoved(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -118,7 +118,7 @@ func TestStoreStaleTmpRemoved(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	tmp := filepath.Join(dir, "current.snap.tmp")
+	tmp := filepath.Join(dir, manifestTmp)
 	if err := os.WriteFile(tmp, []byte("half-written checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestApplyBatchEquivalence(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		g := randomGraph(rng, 10+rng.Intn(8), labels)
 		vs := randomViewSet(rng, labels)
-		m := NewMaintained(g.Clone(), vs)
+		m := seqMaintained(g.Clone(), vs)
 		shadow := g.Clone()
 
 		for round := 0; round < 4; round++ {
@@ -35,7 +35,7 @@ func TestApplyBatchEquivalence(t *testing.T) {
 				}
 			}
 			m.ApplyBatch(batch)
-			fresh := Materialize(shadow, vs)
+			fresh := seqMaterialize(shadow, vs)
 			for i := range fresh.Exts {
 				if !m.X.Exts[i].Result.Equal(fresh.Exts[i].Result) {
 					t.Fatalf("trial %d round %d: view %d diverged after batch",
@@ -56,7 +56,7 @@ func TestApplyBatchDeletionsOnly(t *testing.T) {
 	g.AddEdge(a, b2)
 
 	vs := randomViewSetSingleEdge()
-	m := NewMaintained(g, vs)
+	m := seqMaintained(g, vs)
 	if m.X.Exts[0].Result.Size() != 2 {
 		t.Fatalf("initial size = %d", m.X.Exts[0].Result.Size())
 	}
@@ -81,7 +81,7 @@ func TestApplyBatchNoop(t *testing.T) {
 	a := g.AddNode("A")
 	g.AddNode("B")
 	vs := randomViewSetSingleEdge()
-	m := NewMaintained(g, vs)
+	m := seqMaintained(g, vs)
 	before := m.X.Exts[0]
 	if n := m.ApplyBatch(nil); n != 0 {
 		t.Fatalf("empty batch applied %d", n)

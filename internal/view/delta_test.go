@@ -64,7 +64,7 @@ func TestInsertDeltaPropagation(t *testing.T) {
 	g.AddEdge(a1, b1)
 
 	vs := NewSet(Define("v", patternAB()))
-	m := NewMaintained(g, vs)
+	m := seqMaintained(g, vs)
 	if !m.X.Exts[0].Result.Matched {
 		t.Fatal("view must match initially")
 	}
@@ -81,7 +81,7 @@ func TestInsertDeltaPropagation(t *testing.T) {
 	if m.Stats.AffectedPairs == 0 {
 		t.Fatalf("AffectedPairs = 0, want > 0 after a growing insertion")
 	}
-	fresh := Materialize(m.G, vs)
+	fresh := seqMaterialize(m.G, vs)
 	if !m.X.Exts[0].Result.Equal(fresh.Exts[0].Result) {
 		t.Fatal("delta propagation diverged from rematerialization")
 	}
@@ -111,7 +111,7 @@ func TestBoundedInsertRelevance(t *testing.T) {
 	p := pattern.New("ab2")
 	p.AddBoundedEdge(p.AddNode("a", "A"), p.AddNode("b", "B"), 2)
 	vs := NewSet(Define("v", p))
-	m := NewMaintained(g, vs)
+	m := seqMaintained(g, vs)
 	if !m.X.Exts[0].Result.Matched {
 		t.Fatal("bounded view must match initially")
 	}
@@ -144,7 +144,7 @@ func TestBoundedInsertRelevance(t *testing.T) {
 	if m.Stats.DeltaProps == 0 {
 		t.Fatalf("relevant bounded insertion did not propagate: %+v", m.Stats)
 	}
-	fresh := Materialize(m.G, vs)
+	fresh := seqMaterialize(m.G, vs)
 	if !m.X.Exts[0].Result.Equal(fresh.Exts[0].Result) {
 		t.Fatal("bounded delta propagation diverged from rematerialization")
 	}
@@ -154,7 +154,7 @@ func TestBoundedInsertRelevance(t *testing.T) {
 	if !m.InsertEdge(a, b) {
 		t.Fatal("insert failed")
 	}
-	fresh = Materialize(m.G, vs)
+	fresh = seqMaterialize(m.G, vs)
 	if !m.X.Exts[0].Result.Equal(fresh.Exts[0].Result) {
 		t.Fatal("distance shortening diverged from rematerialization")
 	}
@@ -173,7 +173,7 @@ func TestFeedCoalescesAndFlushes(t *testing.T) {
 	b2 := g.AddNode("B")
 	g.AddEdge(a, b1)
 	vs := NewSet(Define("v", patternAB()))
-	m := NewMaintained(g, vs)
+	m := seqMaintained(g, vs)
 	f := NewFeed(m)
 
 	if n := f.Submit(EdgeUpdate{From: a, To: b2}); n != 1 {
@@ -200,47 +200,13 @@ func TestFeedCoalescesAndFlushes(t *testing.T) {
 	if m.Stats.Batches != 1 || m.Version() != 1 {
 		t.Fatalf("one flush must commit one batch: %+v version=%d", m.Stats, m.Version())
 	}
-	fresh := Materialize(m.G, vs)
+	fresh := seqMaterialize(m.G, vs)
 	if !m.X.Exts[0].Result.Equal(fresh.Exts[0].Result) {
 		t.Fatal("feed flush diverged from rematerialization")
 	}
 	// Flushing an empty feed is free.
 	if applied := f.Flush(); applied != 0 {
 		t.Fatalf("empty flush applied %d", applied)
-	}
-}
-
-// TestForceRematerializeBaseline: the benchmark baseline mode must
-// produce identical extensions while taking the recompute path.
-func TestForceRematerializeBaseline(t *testing.T) {
-	labels := []string{"A", "B", "C"}
-	rng := rand.New(rand.NewSource(193))
-	g := randomGraph(rng, 12, labels)
-	vs := randomViewSet(rng, labels)
-	delta := NewMaintained(g.Clone(), vs)
-	remat := NewMaintained(g.Clone(), vs)
-	remat.SetForceRematerialize(true)
-
-	for step := 0; step < 20; step++ {
-		up := EdgeUpdate{
-			From:   graph.NodeID(rng.Intn(g.NumNodes())),
-			To:     graph.NodeID(rng.Intn(g.NumNodes())),
-			Delete: rng.Intn(3) == 0,
-		}
-		delta.ApplyBatch([]EdgeUpdate{up})
-		remat.ApplyBatch([]EdgeUpdate{up})
-		for i := range delta.X.Exts {
-			if !delta.X.Exts[i].Result.Equal(remat.X.Exts[i].Result) {
-				t.Fatalf("step %d: delta and remat extensions diverged", step)
-			}
-		}
-	}
-	if remat.Stats.DeltaProps != 0 {
-		t.Fatalf("baseline took the delta path: %+v", remat.Stats)
-	}
-	if delta.Stats.Recomputes > remat.Stats.Recomputes {
-		t.Fatalf("delta path recomputed more than the baseline: %+v vs %+v",
-			delta.Stats, remat.Stats)
 	}
 }
 
@@ -308,7 +274,7 @@ func TestAdversarialDeltaStreams(t *testing.T) {
 				for trial := 0; trial < 4; trial++ {
 					g := randomGraph(rng, 10+rng.Intn(6), labels)
 					vs := randomViewSet(rng, labels)
-					m := NewMaintained(g.Clone(), vs)
+					m := seqMaintained(g.Clone(), vs)
 					m.SetParallelism(workers)
 					shadow := g.Clone()
 
@@ -323,9 +289,9 @@ func TestAdversarialDeltaStreams(t *testing.T) {
 							}
 						}
 						oracles := map[string]*Extensions{
-							"mutable": Materialize(shadow, vs),
-							"frozen":  Materialize(graph.Freeze(shadow), vs),
-							"sharded": Materialize(graph.Shard(shadow, 3), vs),
+							"mutable": seqMaterialize(shadow, vs),
+							"frozen":  seqMaterialize(graph.Freeze(shadow), vs),
+							"sharded": seqMaterialize(graph.Shard(shadow, 3), vs),
 						}
 						for backend, fresh := range oracles {
 							for i := range fresh.Exts {

@@ -15,8 +15,8 @@ package view
 //
 //   - Edge deletion can only shrink match sets, so the old match relation
 //     is a valid superset: refinement is re-run seeded from the previous
-//     sim sets (SimulateSeeded/SimulateBoundedSeeded), touching only the
-//     affected region rather than re-scanning the label index.
+//     sim sets (simulation.Options.Seeds), touching only the affected
+//     region rather than re-scanning the label index.
 //   - Edge insertion can only grow match sets, and the growth is confined
 //     to the affected area: nodes with a path (of bounded length, see
 //     affected.go) to an inserted edge's source. Propagation seeds the
@@ -51,7 +51,7 @@ import (
 type MaintStats struct {
 	// Recomputes counts view extensions rebuilt by full simulation — the
 	// slow path, taken only when a relevant insertion hits a view with no
-	// previous match to grow from (or under SetForceRematerialize).
+	// previous match to grow from.
 	Recomputes int
 	// DeltaProps counts view extensions refreshed by delta propagation:
 	// refinement seeded from the previous sim sets (deletions) or from
@@ -96,10 +96,6 @@ type Maintained struct {
 	// Graph mutation always happens before the fan-out, so workers only
 	// ever read the graph concurrently.
 	workers int
-
-	// forceRemat switches propagation to the rematerialize baseline
-	// (see SetForceRematerialize).
-	forceRemat bool
 
 	// info caches per-view propagation metadata (compiled node
 	// conditions, bounds, affected-area radius); built lazily since
@@ -157,14 +153,6 @@ func (m *Maintained) Version() uint64 { return m.version.Load() }
 // updates.
 func (m *Maintained) SetPublishHook(fn func(version uint64)) { m.publishHook = fn }
 
-// SetForceRematerialize switches propagation between the delta path
-// (default) and the rematerialize baseline: when on, every relevant view
-// is rebuilt by full simulation, exactly what maintenance did before
-// delta propagation existed. The per-view relevance fast paths still
-// apply. It exists so benchmarks (gvload -maint remat) can measure the
-// delta path against its predecessor on identical update streams.
-func (m *Maintained) SetForceRematerialize(on bool) { m.forceRemat = on }
-
 // commit bumps the write clock by n effective updates and fires the
 // publish hook. Called once per update operation, after refresh.
 func (m *Maintained) commit(n int) {
@@ -190,23 +178,17 @@ func (m *Maintained) SnapshotExtensions() *Extensions {
 	return &Extensions{Set: m.X.Set, Exts: append([]*Extension(nil), m.X.Exts...)}
 }
 
-// NewMaintained materializes s over g and starts tracking updates.
-func NewMaintained(g *graph.Graph, s *Set) *Maintained {
-	m, _ := NewMaintainedWith(context.Background(), g, s, 1)
-	return m
-}
-
-// NewMaintainedWith is NewMaintained with a worker pool: both the initial
-// materialization and every per-view refresh under updates fan out over
-// up to workers goroutines. ctx bounds only the initial materialization;
-// later refreshes always run to completion so the extensions never fall
-// out of sync with the already-mutated graph.
-func NewMaintainedWith(ctx context.Context, g *graph.Graph, s *Set, workers int) (*Maintained, error) {
-	x, err := MaterializeWith(ctx, g, s, workers)
+// NewMaintained materializes s over g and starts tracking updates: both
+// the initial materialization and every per-view refresh under updates
+// fan out over the options' worker bound. o.Ctx bounds only the initial
+// materialization; later refreshes always run to completion so the
+// extensions never fall out of sync with the already-mutated graph.
+func NewMaintained(g *graph.Graph, s *Set, o Options) (*Maintained, error) {
+	x, err := Materialize(g, s, o)
 	if err != nil {
 		return nil, err
 	}
-	return &Maintained{G: g, X: x, workers: workers}, nil
+	return &Maintained{G: g, X: x, workers: par.OptionWorkers(o.Workers)}, nil
 }
 
 // NewMaintainedFromExtensions couples g with extensions that were
@@ -433,36 +415,25 @@ func (m *Maintained) propagate(i int, relevant bool, aff *affectedArea, anyDelet
 		if !old.Matched {
 			return viewOutcome{kind: outcomeSkip}
 		}
-		if m.forceRemat {
-			m.X.Exts[i] = &Extension{Def: ext.Def, Result: simulation.Simulate(m.G, p)}
-			return viewOutcome{kind: outcomeRecompute}
-		}
-		var res *simulation.Result
-		if mi.plain {
-			res = simulation.SimulateSeeded(m.G, p, old.Sim)
-		} else {
-			res = simulation.SimulateBoundedSeeded(m.G, p, old.Sim)
-		}
+		res := simulation.Simulate(m.G, p, simulation.Options{Seeds: old.Sim})
 		m.X.Exts[i] = &Extension{Def: ext.Def, Result: res}
 		return viewOutcome{kind: outcomeDelta}
 	}
-	if m.forceRemat || !old.Matched {
+	if !old.Matched {
 		// No previous sim sets to grow from (an unmatched result stores
 		// empty ones): full simulation is the only sound move.
-		m.X.Exts[i] = &Extension{Def: ext.Def, Result: simulation.Simulate(m.G, p)}
+		m.X.Exts[i] = &Extension{Def: ext.Def, Result: simulation.Simulate(m.G, p, simulation.Options{})}
 		return viewOutcome{kind: outcomeRecompute}
 	}
 	seeds, added := growSeeds(m.G, p, mi, old, aff)
 	var res *simulation.Result
-	switch {
-	case mi.plain:
-		res = simulation.SimulateSeeded(m.G, p, seeds)
-	case anyDelete:
-		// Deletions can lengthen shortest paths anywhere, so the recorded
-		// distance index cannot be patched locally: refine from the grow
+	if mi.plain || anyDelete {
+		// Plain views, and bounded ones once a deletion is in the batch:
+		// deletions can lengthen shortest paths anywhere, so the recorded
+		// distance index cannot be patched locally — refine from the grow
 		// seeds, then re-enumerate in full.
-		res = simulation.SimulateBoundedSeeded(m.G, p, seeds)
-	default:
+		res = simulation.Simulate(m.G, p, simulation.Options{Seeds: seeds})
+	} else {
 		// Insert-only: distances only shorten, and only for affected
 		// sources — reuse the recorded index for everything else.
 		res = simulation.SimulateBoundedGrow(m.G, p, seeds, old, aff.within(m.G.NumNodes(), mi.radius))
@@ -474,7 +445,7 @@ func (m *Maintained) propagate(i int, relevant bool, aff *affectedArea, anyDelet
 // growSeeds builds the insertion-side refinement seeds for one view:
 // the previous sim sets plus every affected candidate within the view's
 // radius. The result is sorted and duplicate-free per pattern node (the
-// SimulateSeeded contract); added counts the pairs beyond the previous
+// Options.Seeds contract); added counts the pairs beyond the previous
 // sets. Sound because any node newly entering sim must have a lockstep
 // path to an inserted source (see affected.go), so seeding old ∪
 // (affected ∩ candidates) covers the greatest fixpoint, and refinement
@@ -514,16 +485,6 @@ func growSeeds(g *graph.Graph, p *pattern.Pattern, mi *maintInfo, old *simulatio
 	return seeds, added
 }
 
-// edgeRelevant reports whether the edge (u,v) can possibly serve as a
-// match of some pattern edge of a plain view: its endpoints must satisfy
-// the endpoint conditions of at least one pattern edge. The conditions
-// inspect only node labels and attributes, so g must be a graph state in
-// which the edge is (or was) present: post-insertion for inserts,
-// pre-deletion for deletes.
-func edgeRelevant(g graph.Reader, p *pattern.Pattern, u, v graph.NodeID) bool {
-	return edgeRelevantCompiled(g, p, compileNodes(g, p), u, v)
-}
-
 // compileNodes resolves every pattern node condition against g. The
 // result stays valid under edge insertions and deletions (conditions
 // read node labels and attributes only).
@@ -535,7 +496,12 @@ func compileNodes(g graph.Reader, p *pattern.Pattern) []pattern.CompiledNode {
 	return compiled
 }
 
-// edgeRelevantCompiled is edgeRelevant over pre-compiled conditions.
+// edgeRelevantCompiled reports whether the edge (u,v) can possibly
+// serve as a match of some pattern edge of a plain view: its endpoints
+// must satisfy the endpoint conditions (pre-compiled) of at least one
+// pattern edge. The conditions inspect only node labels and attributes,
+// so g must be a graph state in which the edge is (or was) present:
+// post-insertion for inserts, pre-deletion for deletes.
 func edgeRelevantCompiled(g graph.Reader, p *pattern.Pattern, compiled []pattern.CompiledNode, u, v graph.NodeID) bool {
 	for _, e := range p.Edges {
 		if compiled[e.From].Matches(g, u) && compiled[e.To].Matches(g, v) {

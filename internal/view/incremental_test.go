@@ -26,7 +26,7 @@ func TestDeleteEdgeRelevanceRefreshes(t *testing.T) {
 	g.AddEdge(a, b)
 	g.AddEdge(z1, z2)
 
-	m := NewMaintained(g, NewSet(Define("v", patternAB())))
+	m := seqMaintained(g, NewSet(Define("v", patternAB())))
 	if !m.X.Exts[0].Result.Matched {
 		t.Fatal("view must match initially")
 	}
@@ -62,7 +62,7 @@ func TestMaintainedAdversarialDeletions(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(rng, 8+rng.Intn(8), labels)
 		vs := randomViewSet(rng, labels)
-		m := NewMaintained(g.Clone(), vs)
+		m := seqMaintained(g.Clone(), vs)
 		shadow := g.Clone()
 
 		for step := 0; step < 25; step++ {
@@ -88,7 +88,7 @@ func TestMaintainedAdversarialDeletions(t *testing.T) {
 					shadow.RemoveEdge(u, v)
 				}
 			}
-			fresh := Materialize(shadow, vs)
+			fresh := seqMaterialize(shadow, vs)
 			for i := range fresh.Exts {
 				if !m.X.Exts[i].Result.Equal(fresh.Exts[i].Result) {
 					t.Fatalf("trial %d step %d: view %d diverged from rematerialization",
@@ -109,7 +109,7 @@ func TestApplyBatchDeleteThenReinsert(t *testing.T) {
 	a := g.AddNode("A")
 	b := g.AddNode("B")
 	g.AddEdge(a, b)
-	m := NewMaintained(g, NewSet(Define("v", patternAB())))
+	m := seqMaintained(g, NewSet(Define("v", patternAB())))
 	before := m.X.Exts[0]
 
 	applied := m.ApplyBatch([]EdgeUpdate{
@@ -142,7 +142,7 @@ func TestApplyBatchRandomizedMixed(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(rng, 10+rng.Intn(6), labels)
 		vs := randomViewSet(rng, labels)
-		m := NewMaintained(g.Clone(), vs)
+		m := seqMaintained(g.Clone(), vs)
 		shadow := g.Clone()
 
 		for round := 0; round < 3; round++ {
@@ -170,7 +170,7 @@ func TestApplyBatchRandomizedMixed(t *testing.T) {
 				}
 			}
 			m.ApplyBatch(batch)
-			fresh := Materialize(shadow, vs)
+			fresh := seqMaterialize(shadow, vs)
 			for i := range fresh.Exts {
 				if !m.X.Exts[i].Result.Equal(fresh.Exts[i].Result) {
 					t.Fatalf("trial %d round %d: view %d diverged after mixed batch",

@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"graphviews/internal/pattern"
 )
 
 func TestExtensionsRoundTrip(t *testing.T) {
 	g, vs := fig1()
-	x := Materialize(g, vs)
+	x := seqMaterialize(g, vs)
 	var buf bytes.Buffer
 	if err := WriteExtensions(&buf, x); err != nil {
 		t.Fatalf("WriteExtensions: %v", err)
@@ -47,7 +49,7 @@ func TestExtensionsRoundTrip(t *testing.T) {
 func TestExtensionsUnmatchedRoundTrip(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(1)), 5, []string{"A"}) // only A labels
 	_, vs := fig1()                                                 // PM/DBA/PRG views: no matches
-	x := Materialize(g, vs)
+	x := seqMaterialize(g, vs)
 	var buf bytes.Buffer
 	if err := WriteExtensions(&buf, x); err != nil {
 		t.Fatalf("WriteExtensions: %v", err)
@@ -79,5 +81,31 @@ func TestReadExtensionsErrors(t *testing.T) {
 		if _, err := ReadExtensions(strings.NewReader(c), vs); err == nil {
 			t.Errorf("ReadExtensions(%q) succeeded, want error", c)
 		}
+	}
+}
+
+// TestReadExtensionsUnsortedPairs: hand-written files with out-of-order
+// pairs are re-sorted on load so Has/Dist lookups work.
+func TestReadExtensionsUnsortedPairs(t *testing.T) {
+	p := pattern.New("V")
+	p.AddEdge(p.AddNode("a", "A"), p.AddNode("b", "B"))
+	vs := NewSet(Define("V", p))
+	src := `
+view V matched=1
+sim 0 5 3
+sim 1 9
+ematch 0 5 9 1
+ematch 0 3 9 1
+`
+	x, err := ReadExtensions(strings.NewReader(src), vs)
+	if err != nil {
+		t.Fatalf("ReadExtensions: %v", err)
+	}
+	em := &x.Exts[0].Result.Edges[0]
+	if !em.Has(3, 9) || !em.Has(5, 9) {
+		t.Fatalf("lookups broken on unsorted input: %v", em.Pairs)
+	}
+	if em.Pairs[0].Src != 3 {
+		t.Fatalf("pairs not re-sorted: %v", em.Pairs)
 	}
 }

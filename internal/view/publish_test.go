@@ -20,7 +20,7 @@ func publishFixture(t *testing.T) (*graph.Graph, *Maintained) {
 	g.AddNode("B")
 	g.AddNode("B")
 	g.AddEdge(0, 2)
-	return g, NewMaintained(g, NewSet(Define("v", patternAB())))
+	return g, seqMaintained(g, NewSet(Define("v", patternAB())))
 }
 
 // TestVersionCountsEffectiveUpdates: the write clock moves only on

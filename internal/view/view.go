@@ -91,41 +91,55 @@ type Extensions struct {
 	Exts []*Extension
 }
 
+// Options carries what view evaluation may be given besides its inputs.
+// The zero value is the sequential setting: background context, one
+// worker, transient scratch. Only the Engine facade and code forwarding
+// an Options it was handed fill the fields.
+type Options struct {
+	// Ctx is observed between work items; a cancelled call returns
+	// Ctx.Err(). nil means context.Background().
+	Ctx context.Context
+	// Workers bounds the worker pool. Results are identical at every
+	// count. 0 means one worker, a negative value GOMAXPROCS.
+	Workers int
+	// Pool supplies each view's simulation working state: every worker
+	// task checks a Scratch out for the duration of its view and returns
+	// it, so a warmed pool materializes repeatedly without allocating
+	// fixpoint state. nil uses transient scratches. Results never alias
+	// pool memory.
+	Pool *simulation.ScratchPool
+}
+
 // Materialize evaluates every view definition over g (any graph.Reader
 // backend — pass graph.Freeze(g) to evaluate against an immutable CSR
 // snapshot). Plain views use graph simulation; bounded views use bounded
 // simulation. Extension match sets record exact shortest path lengths,
 // which provide the distance index I(V) for answering bounded queries
 // (Section VI-A).
-func Materialize(g graph.Reader, s *Set) *Extensions {
-	x, _ := MaterializeWith(context.Background(), g, s, 1)
-	return x
+//
+// Each view is simulated by one task, and when views are fewer than
+// workers the leftover parallelism flows into each bounded view's
+// match-set enumeration (the distance-index construction); the outer
+// tasks and inner enumeration goroutines together never exceed the
+// worker bound. Candidate seeding — the predicate scan over the label
+// partitions, the hottest phase of materialization — runs once per
+// distinct node condition across the whole view family instead of once
+// per occurrence (simulation.CandidateSeeds).
+func Materialize(g graph.Reader, s *Set, o Options) (*Extensions, error) {
+	return materialize(g, s, o, false)
 }
 
-// MaterializeWith is Materialize with a worker pool: each view is
-// simulated by one task, and when views are fewer than workers the
-// leftover parallelism flows into each bounded view's match-set
-// enumeration (the distance-index construction). The outer tasks and
-// inner enumeration goroutines together never exceed the requested
-// worker bound. Results are identical to the sequential engine at every
-// worker count. It returns ctx.Err() when cancelled before all views
-// finish.
-func MaterializeWith(ctx context.Context, g graph.Reader, s *Set, workers int) (*Extensions, error) {
-	return MaterializePooled(ctx, g, s, workers, nil)
+// MaterializeDual evaluates every view under dual simulation (the
+// Section VIII extension), one view per task; pair distances are all 1
+// and candidates never apply the out-degree prune. Use with
+// core.DualContain / core.DualMatchJoin.
+func MaterializeDual(g graph.Reader, s *Set, o Options) (*Extensions, error) {
+	return materialize(g, s, o, true)
 }
 
-// MaterializePooled is MaterializeWith with each view's simulation
-// working state drawn from pool: every worker task checks a Scratch out
-// for the duration of its view and returns it, so a warmed pool
-// materializes repeatedly without allocating fixpoint state. Candidate
-// seeding — the predicate scan over the label partitions, the hottest
-// phase of materialization — runs once per distinct node condition
-// across the whole view family instead of once per occurrence
-// (simulation.CandidateSeeds). A nil pool uses transient scratches.
-// Results never alias pool memory.
-func MaterializePooled(ctx context.Context, g graph.Reader, s *Set, workers int, pool *simulation.ScratchPool) (*Extensions, error) {
+func materialize(g graph.Reader, s *Set, o Options, dual bool) (*Extensions, error) {
 	exts := make([]*Extension, len(s.Defs))
-	w := par.Workers(workers)
+	w := par.OptionWorkers(o.Workers)
 	inner := 1
 	if outer := min(w, len(s.Defs)); outer > 0 {
 		inner = max(1, w/outer)
@@ -134,44 +148,14 @@ func MaterializePooled(ctx context.Context, g graph.Reader, s *Set, workers int,
 	for i, d := range s.Defs {
 		pats[i] = d.Pattern
 	}
-	seeds := simulation.CandidateSeeds(ctx, g, pats, w, true)
-	err := par.ForEach(ctx, w, len(s.Defs), func(i int) {
-		d := s.Defs[i]
-		exts[i] = &Extension{Def: d, Result: simulation.SimulateFromSeeds(ctx, g, d.Pattern, seeds[i], inner, pool)}
-	})
-	if err != nil {
-		return nil, err
+	seeds := simulation.CandidateSeeds(o.Ctx, g, pats, w, !dual)
+	simulate := simulation.Simulate
+	if dual {
+		simulate = simulation.SimulateDual
 	}
-	return &Extensions{Set: s, Exts: exts}, nil
-}
-
-// MaterializeDual evaluates every view under dual simulation (the
-// Section VIII extension); pair distances are all 1. Use with
-// core.DualContain / core.DualMatchJoin.
-func MaterializeDual(g graph.Reader, s *Set) *Extensions {
-	x, _ := MaterializeDualWith(context.Background(), g, s, 1)
-	return x
-}
-
-// MaterializeDualWith is MaterializeDual over a worker pool, one view per
-// task.
-func MaterializeDualWith(ctx context.Context, g graph.Reader, s *Set, workers int) (*Extensions, error) {
-	return MaterializeDualPooled(ctx, g, s, workers, nil)
-}
-
-// MaterializeDualPooled is MaterializeDualWith over a scratch pool with
-// family-wide candidate memoization; see MaterializePooled. Dual
-// candidates never apply the out-degree prune.
-func MaterializeDualPooled(ctx context.Context, g graph.Reader, s *Set, workers int, pool *simulation.ScratchPool) (*Extensions, error) {
-	exts := make([]*Extension, len(s.Defs))
-	pats := make([]*pattern.Pattern, len(s.Defs))
-	for i, d := range s.Defs {
-		pats[i] = d.Pattern
-	}
-	seeds := simulation.CandidateSeeds(ctx, g, pats, workers, false)
-	err := par.ForEach(ctx, workers, len(s.Defs), func(i int) {
-		d := s.Defs[i]
-		exts[i] = &Extension{Def: d, Result: simulation.SimulateDualFromSeeds(g, d.Pattern, seeds[i], pool)}
+	err := par.ForEach(o.Ctx, w, len(s.Defs), func(i int) {
+		so := simulation.Options{Ctx: o.Ctx, Workers: inner, Pool: o.Pool, Seeds: seeds[i]}
+		exts[i] = &Extension{Def: s.Defs[i], Result: simulate(g, s.Defs[i].Pattern, so)}
 	})
 	if err != nil {
 		return nil, err
@@ -216,18 +200,12 @@ type DistIndex struct {
 
 // BuildDistIndex collects every pair of every extension, keeping the
 // minimum distance when several views share a pair. Its size is bounded
-// by |V(G)| as the paper notes.
-func BuildDistIndex(x *Extensions) *DistIndex {
-	idx, _ := BuildDistIndexWith(context.Background(), x, 1)
-	return idx
-}
-
-// BuildDistIndexWith builds I(V) with per-extension index maps computed
-// concurrently, then merged keeping minimum distances. The merged map is
-// identical to BuildDistIndex's regardless of worker count.
-func BuildDistIndexWith(ctx context.Context, x *Extensions, workers int) (*DistIndex, error) {
+// by |V(G)| as the paper notes. The per-extension index maps are computed
+// over the worker pool and then merged, so the index is identical at
+// every worker count.
+func BuildDistIndex(x *Extensions, o Options) (*DistIndex, error) {
 	parts := make([]map[simulation.Pair]int32, len(x.Exts))
-	err := par.ForEach(ctx, workers, len(x.Exts), func(i int) {
+	err := par.ForEach(o.Ctx, par.OptionWorkers(o.Workers), len(x.Exts), func(i int) {
 		m := make(map[simulation.Pair]int32)
 		r := x.Exts[i].Result
 		for ei := range r.Edges {

@@ -8,6 +8,24 @@ import (
 	"graphviews/internal/pattern"
 )
 
+// seqMaterialize and seqMaintained are the zero-Options (sequential,
+// never cancelled, hence error-free) forms most tests want.
+func seqMaterialize(g graph.Reader, s *Set) *Extensions {
+	x, err := Materialize(g, s, Options{})
+	if err != nil {
+		panic(err)
+	}
+	return x
+}
+
+func seqMaintained(g *graph.Graph, s *Set) *Maintained {
+	m, err := NewMaintained(g, s, Options{})
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 // fig1 builds the Fig. 1 graph and the two views V1, V2 of the paper.
 func fig1() (*graph.Graph, *Set) {
 	g := graph.New()
@@ -44,7 +62,7 @@ func TestFig1ViewExtensions(t *testing.T) {
 	if err := vs.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	x := Materialize(g, vs)
+	x := seqMaterialize(g, vs)
 
 	v1 := x.Exts[0].Result
 	if !v1.Matched {
@@ -119,8 +137,8 @@ func TestDistIndex(t *testing.T) {
 	pa := vp.AddNode("a", "A")
 	pb := vp.AddNode("b", "B")
 	vp.AddBoundedEdge(pa, pb, 2)
-	xts := Materialize(g, NewSet(Define("", vp)))
-	idx := BuildDistIndex(xts)
+	xts := seqMaterialize(g, NewSet(Define("", vp)))
+	idx, _ := BuildDistIndex(xts, Options{})
 	if idx.Len() != 1 {
 		t.Fatalf("index size = %d", idx.Len())
 	}
@@ -144,8 +162,8 @@ func TestDistIndexKeepsMinimum(t *testing.T) {
 	v1.AddEdge(v1.AddNode("a", "A"), v1.AddNode("b", "B"))
 	v2 := pattern.New("v2")
 	v2.AddBoundedEdge(v2.AddNode("a", "A"), v2.AddNode("b", "B"), 3)
-	xts := Materialize(g, NewSet(Define("", v1), Define("", v2)))
-	idx := BuildDistIndex(xts)
+	xts := seqMaterialize(g, NewSet(Define("", v1), Define("", v2)))
+	idx, _ := BuildDistIndex(xts, Options{})
 	if d := idx.Dist(a, b); d != 1 {
 		t.Fatalf("Dist = %d, want 1", d)
 	}
@@ -196,7 +214,7 @@ func TestMaintainedEquivalence(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		g := randomGraph(rng, 8+rng.Intn(8), labels)
 		vs := randomViewSet(rng, labels)
-		m := NewMaintained(g.Clone(), vs)
+		m := seqMaintained(g.Clone(), vs)
 		shadow := g.Clone()
 
 		for step := 0; step < 30; step++ {
@@ -212,7 +230,7 @@ func TestMaintainedEquivalence(t *testing.T) {
 			if step%10 != 9 {
 				continue // compare every 10 steps to keep the test fast
 			}
-			fresh := Materialize(shadow, vs)
+			fresh := seqMaterialize(shadow, vs)
 			for i := range fresh.Exts {
 				if !m.X.Exts[i].Result.Equal(fresh.Exts[i].Result) {
 					t.Fatalf("trial %d step %d: view %d diverged\nmaintained: %v\nfresh: %v",
@@ -234,7 +252,7 @@ func TestMaintainedFastPaths(t *testing.T) {
 
 	p := pattern.New("v")
 	p.AddEdge(p.AddNode("a", "A"), p.AddNode("b", "B"))
-	m := NewMaintained(g, NewSet(Define("", p)))
+	m := seqMaintained(g, NewSet(Define("", p)))
 	before := m.X.Exts[0]
 
 	if !m.InsertEdge(b, c) { // B->C: no pattern edge has (B,C) endpoints
@@ -264,7 +282,7 @@ func TestMaintainedDeleteBreaksMatch(t *testing.T) {
 	g.AddEdge(a, b)
 	p := pattern.New("v")
 	p.AddEdge(p.AddNode("a", "A"), p.AddNode("b", "B"))
-	m := NewMaintained(g, NewSet(Define("", p)))
+	m := seqMaintained(g, NewSet(Define("", p)))
 	if !m.X.Exts[0].Result.Matched {
 		t.Fatalf("should match initially")
 	}
@@ -276,5 +294,34 @@ func TestMaintainedDeleteBreaksMatch(t *testing.T) {
 	m.InsertEdge(a, b)
 	if !m.X.Exts[0].Result.Matched {
 		t.Fatalf("match should return after re-insertion")
+	}
+}
+
+func TestMaterializeDualDirect(t *testing.T) {
+	g := graph.New()
+	a := g.AddNode("A")
+	b := g.AddNode("B")
+	g.AddNode("B") // dangling B: kept by plain sim, dropped by dual
+	g.AddEdge(a, b)
+	p := pattern.New("v")
+	p.AddEdge(p.AddNode("a", "A"), p.AddNode("b", "B"))
+	x, _ := MaterializeDual(g, NewSet(Define("", p)), Options{})
+	if x.TotalEdges() != 1 {
+		t.Fatalf("dual extension size = %d", x.TotalEdges())
+	}
+	if len(x.Exts[0].Result.Sim[1]) != 1 {
+		t.Fatalf("dual must keep only the linked B: %v", x.Exts[0].Result.Sim)
+	}
+}
+
+func TestExtensionsSubsetDirect(t *testing.T) {
+	g, vs := fig1()
+	x := seqMaterialize(g, vs)
+	sub := x.Subset([]int{1})
+	if sub.Set.Card() != 1 || sub.Set.Defs[0].Name != "V2" {
+		t.Fatalf("Subset wrong: %v", sub.Set.Defs)
+	}
+	if sub.TotalEdges() != x.Exts[1].Edges() {
+		t.Fatalf("subset extension size mismatch")
 	}
 }
