@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test loc race vet analyze staticcheck govulncheck lint fmt-check docs-lint loadtest bench bench-smoke bench-scc bench-frozen bench-sharded bench-json bench-json-smoke bench-diff bench-wal bench-wal-smoke fuzz-smoke cover ci
+.PHONY: build test loc race vet analyze staticcheck govulncheck lint fmt-check docs-lint loadtest bench bench-smoke bench-scc bench-backends bench-json bench-json-smoke bench-diff bench-wal bench-wal-smoke fuzz-smoke cover ci
 
 build:
 	$(GO) build ./...
@@ -11,9 +11,11 @@ build:
 test:
 	$(GO) test ./...
 
-# Non-test Go lines outside bench/ (ROADMAP's LOC bar), then inside it.
+# Non-test Go lines outside bench/ (ROADMAP's LOC bar), the analyzer
+# testdata fixtures that count among them, then the lines inside bench/.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1 | awk '{print $$1, "outside bench/"}'
+	@find ./internal/analysis -path '*/testdata/*' -name '*.go' -not -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1, "of them internal/analysis/*/testdata fixtures"}'
 	@find ./bench -name '*.go' -not -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1, "inside bench/"}'
 
 # Race tests pin GOMAXPROCS>=4 so the SCC-parallel fixpoint waves truly
@@ -106,20 +108,16 @@ bench-smoke:
 bench-scc:
 	GOMAXPROCS=4 $(GO) test -run 'BenchmarkNone' -bench 'MatchJoinSCCParallel' -benchmem ./...
 
-# Frozen-vs-mutable backend A/B: direct simulation (the mutex-free label
-# index on the seeding loop) and the materialize+answer pipeline worker
-# sweep over both graph.Reader backends.
-bench-frozen:
-	$(GO) test -run 'BenchmarkNone' -bench 'SimFrozen|AnswerFrozen' -benchmem ./...
-
-# Sharded-backend sweep: the materialize+answer pipeline over shard
-# counts (pre-partitioned snapshots) plus the O(|V|+|E|) splitter.
-# GOMAXPROCS=4: shard-parallel seeding needs real cores to show.
-bench-sharded:
-	GOMAXPROCS=4 $(GO) test -run 'BenchmarkNone' -bench 'AnswerSharded|ShardSplit' -benchmem ./...
+# Graph-backend sweep over mutable | shards=k: direct simulation (the
+# mutex-free label partition on the seeding loop), the
+# materialize+answer pipeline over worker counts and over shard counts
+# (pre-built snapshots), plus the O(|V|+|E|) splitter. GOMAXPROCS=4:
+# shard-parallel seeding needs real cores to show.
+bench-backends:
+	GOMAXPROCS=4 $(GO) test -run 'BenchmarkNone' -bench 'SimFrozen|AnswerFrozen|AnswerSharded|ShardSplit' -benchmem ./...
 
 # Benchmark trajectory: run the Fig. 8 suite plus the
-# frozen/sharded/SCC/micro sweeps with -benchmem and record op name →
+# backend/SCC/micro sweeps with -benchmem and record op name →
 # ns/op, B/op, allocs/op in BENCH_PR5.json via cmd/benchjson.
 # Append-friendly: all runs are concatenated before conversion, and
 # repeated names keep the fastest run — hence -count above 1, which
@@ -155,7 +153,7 @@ else
 endif
 
 # The CI-sized trajectory: the acceptance benchmarks only (SCC fixpoint,
-# frozen pipeline, sharded sweep), one short pass, uploaded as a
+# k=1 pipeline, shard sweep), one short pass, uploaded as a
 # workflow artifact.
 bench-json-smoke:
 	@rm -f .bench-json.tmp
@@ -222,6 +220,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShardRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzRefreeze$$' -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz '^FuzzEquivalentPreds$$' -fuzztime $(FUZZTIME) ./internal/pattern
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePattern$$' -fuzztime $(FUZZTIME) ./internal/pattern
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotManifest$$' -fuzztime $(FUZZTIME) ./internal/store
 

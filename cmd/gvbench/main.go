@@ -5,7 +5,7 @@
 //	gvbench -fig 8a,8f -scale tiny  # selected figures
 //	gvbench -scale paper            # the paper's graph sizes (slow!)
 //	gvbench -workers -1             # materialize views on all cores
-//	gvbench -frozen                 # run on the frozen CSR backend
+//	gvbench -shards 1               # run on the frozen CSR snapshot
 //	gvbench -shards 4               # run on 4 hash-partitioned CSR shards
 //	gvbench -csv -out results/      # machine-readable output
 //	gvbench -cpuprofile cpu.pb.gz   # attach pprof evidence to perf PRs
@@ -37,8 +37,7 @@ func run() int {
 		verify  = flag.Bool("verify", false, "cross-check every view answer against direct evaluation")
 		queries = flag.Int("queries", 3, "queries averaged per data point")
 		workers = flag.Int("workers", 1, "view-materialization parallelism (0 or 1 = sequential, -1 = GOMAXPROCS)")
-		frozen  = flag.Bool("frozen", false, "evaluate against an immutable CSR snapshot (graph.Freeze) to A/B the graph backends")
-		shards  = flag.Int("shards", 1, "split the graph into k hash partitions (graph.Shard); <2 = unsharded")
+		shards  = flag.Int("shards", 0, "evaluate against an immutable CSR snapshot of k hash partitions (graph.Shard; 1 = graph.Freeze); 0 = the mutable graph")
 		csv     = flag.Bool("csv", false, "also emit CSV")
 		outDir  = flag.String("out", "", "directory for CSV files (implies -csv)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the figure runs to this file")
@@ -82,7 +81,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "gvbench: %v\n", err)
 		return 2
 	}
-	cfg := experiments.Config{Scale: sc, Seed: *seed, Verify: *verify, QueriesPerPoint: *queries, Workers: *workers, Frozen: *frozen, Shards: *shards}
+	cfg := experiments.Config{Scale: sc, Seed: *seed, Verify: *verify, QueriesPerPoint: *queries, Workers: *workers, Shards: *shards}
 
 	ids := experiments.All
 	if *figs != "all" {

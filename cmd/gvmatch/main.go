@@ -35,8 +35,7 @@ func main() {
 		viewsPath = flag.String("views", "", "pattern DSL file with view definitions")
 		extPath   = flag.String("extensions", "", "materialized extensions file (from gvviews)")
 		engine    = flag.String("engine", "sim", "sim | dual | strong (direct evaluation)")
-		frozen    = flag.Bool("frozen", false, "freeze the graph into an immutable CSR snapshot before direct evaluation")
-		shards    = flag.Int("shards", 1, "split the graph into k hash partitions before direct evaluation; <2 = unsharded")
+		shards    = flag.Int("shards", 0, "evaluate directly over an immutable CSR snapshot of k hash partitions (1 = graph.Freeze); 0 = the mutable graph")
 		strategy  = flag.String("strategy", "minimal", "all | minimal | minimum (view-based)")
 		verbose   = flag.Bool("v", false, "print full match sets, not just sizes")
 	)
@@ -113,11 +112,8 @@ func main() {
 			fail("%v", err)
 		}
 		var r graph.Reader = g
-		if *frozen {
-			r = graph.Freeze(g)
-		}
-		if *shards > 1 {
-			r = graph.Shard(r, *shards)
+		if *shards >= 1 {
+			r = graph.Shard(g, *shards)
 		}
 		switch *engine {
 		case "sim":

@@ -156,12 +156,7 @@ func main() {
 		}
 		defer st.Close()
 		if base := st.Base(); base != nil {
-			switch b := base.(type) {
-			case *gv.Frozen:
-				g = b.Thaw()
-			case *gv.Sharded:
-				g = b.Thaw()
-			}
+			g = base.Thaw()
 			logger.Printf("loaded checkpoint from %s: |V|=%d |E|=%d at write clock %d, %d WAL record(s) to replay",
 				*dataDir, g.NumNodes(), g.NumEdges(), st.BaseVersion(), len(st.Tail()))
 		} else {

@@ -25,8 +25,7 @@ func main() {
 		graphPath = flag.String("graph", "", "data graph file (required)")
 		viewsPath = flag.String("views", "", "pattern DSL file with view definitions (required)")
 		out       = flag.String("o", "", "output extensions file (default stdout)")
-		frozen    = flag.Bool("frozen", false, "materialize against an immutable CSR snapshot (graph.Freeze)")
-		shards    = flag.Int("shards", 1, "materialize against k hash partitions (graph.Shard); <2 = unsharded")
+		shards    = flag.Int("shards", 0, "materialize against an immutable CSR snapshot of k hash partitions (graph.Shard; 1 = graph.Freeze); 0 = the mutable graph")
 	)
 	flag.Parse()
 	if *graphPath == "" || *viewsPath == "" {
@@ -61,11 +60,8 @@ func main() {
 	}
 
 	var r graph.Reader = g
-	if *frozen {
-		r = graph.Freeze(g)
-	}
-	if *shards > 1 {
-		r = graph.Shard(r, *shards)
+	if *shards >= 1 {
+		r = graph.Shard(g, *shards)
 	}
 	x, _ := view.Materialize(r, vs, view.Options{})
 

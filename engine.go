@@ -57,17 +57,16 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithShards configures hash-partitioned snapshots: with n >= 2 every
-// read-only engine call splits its frozen snapshot into n CSR shards
-// (graph.Shard), so candidate seeding — the hottest phase of view
-// materialization — fans out per shard over the worker pool with no
-// shared label index and no lock. n == 1 disables sharding (the
-// default); n <= 0 selects the automatic heuristic, which shards
-// snapshots of at least autoShardSize into min(parallelism,
-// maxAutoShards) partitions. Results are byte-identical at every shard
-// count. A pre-built *Sharded passed to an engine call is always used
-// as-is (pre-shard with Shard to amortize the split across calls, the
-// same way a pre-built *Frozen amortizes the freeze).
+// WithShards sets the shard count of the snapshot every read-only
+// engine call runs on (graph.Shard): with n >= 2 candidate seeding — the
+// hottest phase of view materialization — fans out per shard over the
+// worker pool with no shared label index and no lock. n == 1 is the
+// single-shard snapshot Freeze builds (the default); n <= 0 selects the
+// automatic heuristic, which shards snapshots of at least autoShardSize
+// into min(parallelism, maxAutoShards) partitions. Results are
+// byte-identical at every shard count. A pre-built *Sharded passed to an
+// engine call is always used as-is (build one with Freeze or Shard to
+// amortize the snapshot across calls).
 func WithShards(n int) Option {
 	return func(e *Engine) {
 		e.shards = n
@@ -126,14 +125,11 @@ func (e *Engine) shardCount(size int) int {
 	return min(e.parallelism, maxAutoShards)
 }
 
-// snapshot freezes g once per engine call so every worker shares one
-// immutable CSR snapshot: no label-index mutex on the seeding path, no
-// mutable state visible to the pool. An already-frozen reader is used
-// as-is (Freeze is a no-op on *Frozen), and a pre-partitioned *Sharded
-// is never flattened — it is the shard-parallel backend the call runs
-// on. When sharding is configured (WithShards), the frozen snapshot is
-// split into hash partitions here. The context is checked first so
-// cancelled calls do not pay the O(|V|+|E|) freeze or split.
+// snapshot builds g's immutable snapshot once per engine call so every
+// worker shares it: no label-index mutex on the seeding path, no mutable
+// state visible to the pool. A pre-built *Sharded is used as-is, at
+// whatever shard count it has. The context is checked first so
+// cancelled calls do not pay the O(|V|+|E|) build.
 func (e *Engine) snapshot(g GraphReader) (GraphReader, error) {
 	if err := e.ctx.Err(); err != nil {
 		return nil, err
@@ -141,19 +137,13 @@ func (e *Engine) snapshot(g GraphReader) (GraphReader, error) {
 	if sh, ok := g.(*Sharded); ok {
 		return sh, nil
 	}
-	if k := e.shardCount(g.Size()); k > 1 {
-		// Shard reads any backend directly — splitting the input in one
-		// pass rather than freezing first, which would build a second
-		// O(|V|+|E|) snapshot only to discard it.
-		return Shard(g, k), nil
-	}
-	return Freeze(g), nil
+	return Shard(g, e.shardCount(g.Size())), nil
 }
 
 // Snapshot builds the immutable read snapshot the engine's evaluation
-// calls would run g through: a *Frozen CSR snapshot by default, or the
-// hash-partitioned *Sharded form when sharding is configured
-// (WithShards); a pre-built *Frozen or *Sharded is returned as-is. This
+// calls would run g through: the single-shard *Sharded that Freeze
+// builds by default, or k hash partitions when sharding is configured
+// (WithShards); a pre-built *Sharded is returned as-is. This
 // is the accessor serving layers publish through — build the snapshot
 // once under the writer's lock, store it behind an atomic pointer, and
 // every concurrent query reads one immutable graph with no lock and no
@@ -196,8 +186,8 @@ func (e *Engine) coreOptions() core.Options {
 // enumeration), producing the same extensions as the package-level
 // Materialize. The engine auto-freezes g once per call, so the worker
 // pool evaluates against a shared immutable CSR snapshot; pass a
-// pre-built *Frozen (or *Sharded) to amortize the snapshot across
-// calls. Over a sharded snapshot (WithShards, or a pre-built *Sharded)
+// pre-built *Sharded (Freeze or Shard) to amortize the snapshot across
+// calls. Over k > 1 shards (WithShards, or a pre-built *Sharded)
 // candidate seeding fans out per shard across the pool.
 func (e *Engine) Materialize(g GraphReader, vs *ViewSet) (*Extensions, error) {
 	r, err := e.snapshot(g)

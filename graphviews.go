@@ -50,15 +50,17 @@ type (
 	// integer/categorical attributes.
 	Graph = graph.Graph
 	// GraphReader is the read-only graph abstraction every evaluation
-	// entry point accepts; *Graph, *Frozen and *Sharded all satisfy it.
+	// entry point accepts; *Graph and *Sharded both satisfy it.
 	GraphReader = graph.Reader
-	// Frozen is an immutable CSR snapshot of a data graph (see Freeze):
-	// flat edge arrays, a prebuilt lock-free label index and frozen
-	// attribute columns, safe for unsynchronized concurrent reads.
-	Frozen = graph.Frozen
-	// Sharded is a hash-partitioned immutable backend of k CSR shards
-	// (see Shard): per-shard label partitions with merge-on-read global
-	// NodesWithLabel, and per-shard boundary arrays of cross-shard edges.
+	// Frozen is the single-shard Sharded that Freeze returns: one CSR
+	// snapshot with flat edge arrays, a prebuilt lock-free label index
+	// and frozen attribute columns, safe for unsynchronized concurrent
+	// reads.
+	Frozen = graph.Sharded
+	// Sharded is the immutable backend of k CSR shards (see Shard):
+	// per-shard label partitions with merge-on-read global
+	// NodesWithLabel (the prebuilt partition itself at k = 1), and
+	// per-shard boundary arrays of cross-shard edges.
 	Sharded = graph.Sharded
 	// NodeID identifies a node of a Graph.
 	NodeID = graph.NodeID
@@ -139,14 +141,15 @@ func NewGraph() *Graph { return graph.New() }
 // NewGraphWithCapacity returns an empty graph with room for n nodes.
 func NewGraphWithCapacity(n int) *Graph { return graph.NewWithCapacity(n) }
 
-// Freeze builds an immutable CSR snapshot of g: evaluation over a Frozen
-// shares no mutable state with the source graph, drops the label-index
-// mutex from the hottest read path and improves cache locality for the
-// simulation fixpoints. The first snapshot of a *Graph costs O(|V|+|E|);
-// the graph remembers it, so the next one costs what AddEdge/RemoveEdge
-// changed in between plus a bulk copy of the adjacency arrays, and an
-// unchanged graph gets the same snapshot back. Freezing a *Frozen is a
-// no-op. Thaw() on the snapshot round-trips back to a mutable *Graph.
+// Freeze builds an immutable CSR snapshot of g, Shard(g, 1): evaluation
+// over it shares no mutable state with the source graph, drops the
+// label-index mutex from the hottest read path and improves cache
+// locality for the simulation fixpoints. The first snapshot of a *Graph
+// costs O(|V|+|E|); the graph remembers it, so the next one costs what
+// AddEdge/RemoveEdge changed in between plus a bulk copy of the
+// adjacency arrays, and an unchanged graph gets the same snapshot back.
+// Freezing a single-shard snapshot is a no-op. Thaw() on the snapshot
+// round-trips back to a mutable *Graph.
 func Freeze(g GraphReader) *Frozen { return graph.Freeze(g) }
 
 // Shard splits any graph backend into k hash partitions — O(|V|+|E|)
@@ -155,10 +158,9 @@ func Freeze(g GraphReader) *Frozen { return graph.Freeze(g) }
 // adjacency, a shard-local label partition, frozen attribute columns and
 // the boundary array of its cross-shard out-edges. The result satisfies
 // GraphReader, so every evaluation entry point runs on it unchanged —
-// over a Sharded the engines' candidate seeding fans out per shard —
-// and results are byte-identical to the other backends at any k.
-// Unshard() flattens back to a *Frozen. Sharding a *Sharded at the same
-// k is a no-op.
+// over k > 1 shards the engines' candidate seeding fans out per shard —
+// and results are byte-identical to the mutable graph at any k.
+// Sharding a *Sharded at the same k is a no-op.
 func Shard(g GraphReader, k int) *Sharded { return graph.Shard(g, k) }
 
 // ReadGraph parses a graph in the text format written by WriteGraph.

@@ -3,7 +3,7 @@
 // NodesWithLabel and NodesWithLabelName and the map returned by Attrs
 // alias backend storage. Callers must treat them as immutable — one
 // append or in-place sort through such a slice corrupts the backend (or
-// a neighbour's adjacency list on *Frozen, whose lists share one flat
+// a neighbour's adjacency list on *Sharded, whose lists share one flat
 // array) and silently breaks the byte-identical-across-backends
 // guarantee the view-answering correctness rests on.
 //

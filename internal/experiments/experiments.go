@@ -72,17 +72,13 @@ type Config struct {
 	// Workers bounds view-materialization parallelism (0 or 1 =
 	// sequential, the paper's single-threaded setting; < 0 = GOMAXPROCS).
 	Workers int
-	// Frozen evaluates every read-only workload against an immutable CSR
-	// snapshot (graph.Freeze) instead of the mutable adjacency-list
-	// graph, A/B-ing the two Reader backends. Results are identical; the
-	// maintenance experiment ignores the flag since it mutates the graph.
-	Frozen bool
-	// Shards splits every read-only workload into this many hash
-	// partitions (graph.Shard) so candidate seeding runs shard-parallel;
-	// values below 2 leave the backend unsharded. Composes with Frozen
-	// (sharding a snapshot) and with Workers (the shard tasks ride the
-	// same pool). Results are identical at any shard count; the
-	// maintenance experiment ignores the flag since it mutates the graph.
+	// Shards selects the graph backend every read-only workload is
+	// evaluated against: 0 keeps the mutable adjacency-list graph, k >= 1
+	// its immutable snapshot of k hash partitions (graph.Shard; k = 1 is
+	// the Freeze snapshot), over which candidate seeding runs
+	// shard-parallel on the Workers pool when k > 1. Results are
+	// identical on every backend; the maintenance experiment ignores the
+	// field since it mutates the graph.
 	Shards int
 }
 
@@ -94,17 +90,12 @@ func (c Config) queries() int {
 }
 
 // input selects the graph backend the figure runners evaluate against:
-// the mutable graph as generated, a frozen CSR snapshot of it, or a
-// hash-partitioned sharding of either.
+// the mutable graph as generated, or its snapshot in Shards partitions.
 func (c Config) input(g *graph.Graph) graph.Reader {
-	var r graph.Reader = g
-	if c.Frozen {
-		r = graph.Freeze(g)
+	if c.Shards < 1 {
+		return g
 	}
-	if c.Shards > 1 {
-		r = graph.Shard(r, c.Shards)
-	}
-	return r
+	return graph.Shard(g, c.Shards)
 }
 
 // materialize evaluates the views through the configured worker pool.

@@ -45,6 +45,20 @@ func TestUniformDeterministic(t *testing.T) {
 	}
 }
 
+// TestSyntheticViewsDeterministic: one seed must give the same view set
+// every time, down to the node numbering of each pattern.
+func TestSyntheticViewsDeterministic(t *testing.T) {
+	want := SyntheticViews(10, 7)
+	for run := 0; run < 5; run++ {
+		got := SyntheticViews(10, 7)
+		for i, d := range want.Defs {
+			if g, w := got.Defs[i].Pattern.String(), d.Pattern.String(); g != w {
+				t.Fatalf("run %d view %d:\n%s\nvs\n%s", run, i, g, w)
+			}
+		}
+	}
+}
+
 func TestDensified(t *testing.T) {
 	g := Densified(1000, 1.1, 10, 3)
 	// 1000^1.1 ≈ 1995

@@ -254,7 +254,6 @@ func SyntheticViews(k int, seed int64) *view.Set {
 	subPattern := func(u *pattern.Pattern, name string, nE int) *pattern.Pattern {
 		chosen := map[int]bool{rng.Intn(len(u.Edges)): true}
 		for len(chosen) < nE {
-			grown := false
 			// Candidate edges sharing a node with the chosen set.
 			var cands []int
 			inNodes := map[int]bool{}
@@ -271,8 +270,6 @@ func SyntheticViews(k int, seed int64) *view.Set {
 				break
 			}
 			chosen[cands[rng.Intn(len(cands))]] = true
-			grown = true
-			_ = grown
 		}
 		p := pattern.New(name)
 		nodeMap := map[int]int{}
@@ -284,9 +281,12 @@ func SyntheticViews(k int, seed int64) *view.Set {
 			nodeMap[ui] = v
 			return v
 		}
-		for ei := range chosen {
-			e := u.Edges[ei]
-			p.AddEdge(mapNode(e.From), mapNode(e.To))
+		// Number the nodes in ascending edge order: ranging over the map
+		// would make the pattern differ from run to run for one seed.
+		for ei, e := range u.Edges {
+			if chosen[ei] {
+				p.AddEdge(mapNode(e.From), mapNode(e.To))
+			}
 		}
 		return p
 	}

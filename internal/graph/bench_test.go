@@ -48,7 +48,7 @@ func BenchmarkPublishDirtyFraction(b *testing.B) {
 		name string
 		snap func() Reader
 	}{
-		{"frozen", func() Reader { return Freeze(g) }},
+		{"shards=1", func() Reader { return Shard(g, 1) }},
 		{"shards=8", func() Reader { return Shard(g, 8) }},
 	}
 	for _, be := range backends {
@@ -83,16 +83,12 @@ func BenchmarkPublishDirtyFraction(b *testing.B) {
 // from — what every publish cost before snapshots were remembered.
 func BenchmarkPublishFromScratch(b *testing.B) {
 	g := publishBenchGraph()
-	b.Run("frozen", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			publishSink = freeze(g, nil, nil)
-		}
-	})
-	b.Run("shards=8", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			publishSink, _ = shardOf(g, 8, nil, nil)
-		}
-	})
+	for _, k := range []int{1, 8} {
+		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				publishSink, _ = shardOf(g, k, nil, nil)
+			}
+		})
+	}
 }

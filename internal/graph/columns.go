@@ -1,143 +1,18 @@
 package graph
 
-// Column accessors for the durable store (internal/store). A Frozen —
-// and every shard of a Sharded — already lives in flat-array layout, so
-// persisting one is exactly writing these columns and loading one is
-// reading them back and adopting the slices: no CSR rebuild, no
-// re-sorting, no re-interning on either side. Columns() exposes the
-// arrays (aliased, read-only); FrozenFromColumns/ShardedFromColumns
-// validate the shape invariants and adopt the arrays, so a corrupted or
-// hand-built column set is rejected instead of producing a backend that
-// violates the Reader contract.
+// Column accessors for the durable store (internal/store). Every shard
+// of a Sharded already lives in flat-array layout, so persisting one is
+// exactly writing these columns and loading one is reading them back
+// and adopting the slices: no CSR rebuild, no re-sorting, no
+// re-interning on either side. Columns() exposes the arrays (aliased,
+// read-only); ShardedFromColumns validates the shape invariants and
+// adopts the arrays, so a corrupted or hand-built column set is rejected
+// instead of producing a backend that violates the Reader contract.
 
 import (
 	"fmt"
 	"sort"
 )
-
-// FrozenColumns is the flat-array layout of a Frozen, exposed for
-// serialization. All slices alias the snapshot's storage and must be
-// treated as read-only; string slices use interned/id order exactly as
-// the snapshot stores them.
-type FrozenColumns struct {
-	// Labels are the interner's strings in id order.
-	Labels []string
-	// CatKeys are the categorical attribute keys, sorted.
-	CatKeys []string
-	// NumEdges is |E|.
-	NumEdges int
-	// NodeLabel maps node id to interned label.
-	NodeLabel []LabelID
-	// OutOff and OutAdj are the forward CSR: Out(v) =
-	// OutAdj[OutOff[v]:OutOff[v+1]], ascending.
-	OutOff []int32
-	// OutAdj holds the forward adjacency, grouped by source.
-	OutAdj []NodeID
-	// InOff and InAdj are the reverse CSR.
-	InOff []int32
-	// InAdj holds the reverse adjacency, grouped by target.
-	InAdj []NodeID
-	// LabelOff and LabelIdx are the label partition: NodesWithLabel(l) =
-	// LabelIdx[LabelOff[l]:LabelOff[l+1]], ascending.
-	LabelOff []int32
-	// LabelIdx holds the label-partitioned node index.
-	LabelIdx []NodeID
-	// AttrOff, AttrKey and AttrVal are the attribute columns: node v's
-	// attributes are the parallel ranges AttrKey[AttrOff[v]:AttrOff[v+1]]
-	// / AttrVal[...], keys sorted per node.
-	AttrOff []int32
-	// AttrKey holds the per-node attribute keys.
-	AttrKey []string
-	// AttrVal holds the per-node attribute values, parallel to AttrKey.
-	AttrVal []int64
-}
-
-// Columns exposes the snapshot's flat arrays for serialization. The
-// returned slices alias the snapshot and must not be mutated.
-func (f *Frozen) Columns() *FrozenColumns {
-	return &FrozenColumns{
-		Labels:    f.labels.Names(),
-		CatKeys:   sortedKeys(f.catKeys),
-		NumEdges:  f.numEdges,
-		NodeLabel: f.nodeLabel,
-		OutOff:    f.outOff,
-		OutAdj:    f.outAdj,
-		InOff:     f.inOff,
-		InAdj:     f.inAdj,
-		LabelOff:  f.labelOff,
-		LabelIdx:  f.labelIdx,
-		AttrOff:   f.attrOff,
-		AttrKey:   f.attrKey,
-		AttrVal:   f.attrVal,
-	}
-}
-
-// FrozenFromColumns adopts a column set as an immutable CSR snapshot,
-// validating every shape invariant Freeze establishes (offset lengths
-// and monotonicity, id ranges, per-node key sorting is trusted). The
-// slices are adopted, not copied: the caller must not mutate them
-// afterwards. The result is field-for-field identical to freezing the
-// graph the columns came from.
-func FrozenFromColumns(c *FrozenColumns) (*Frozen, error) {
-	n := len(c.NodeLabel)
-	nl := len(c.Labels)
-	if err := checkOffsets("outOff", c.OutOff, n, len(c.OutAdj)); err != nil {
-		return nil, err
-	}
-	if err := checkOffsets("inOff", c.InOff, n, len(c.InAdj)); err != nil {
-		return nil, err
-	}
-	if err := checkOffsets("labelOff", c.LabelOff, nl, len(c.LabelIdx)); err != nil {
-		return nil, err
-	}
-	if err := checkOffsets("attrOff", c.AttrOff, n, len(c.AttrKey)); err != nil {
-		return nil, err
-	}
-	if len(c.AttrVal) != len(c.AttrKey) {
-		return nil, fmt.Errorf("graph: attrVal length %d != attrKey length %d", len(c.AttrVal), len(c.AttrKey))
-	}
-	if len(c.LabelIdx) != n {
-		return nil, fmt.Errorf("graph: label index covers %d nodes, want %d", len(c.LabelIdx), n)
-	}
-	if c.NumEdges != len(c.OutAdj) || len(c.InAdj) != len(c.OutAdj) {
-		return nil, fmt.Errorf("graph: edge counts disagree: numEdges=%d |outAdj|=%d |inAdj|=%d",
-			c.NumEdges, len(c.OutAdj), len(c.InAdj))
-	}
-	for v, l := range c.NodeLabel {
-		if int(l) < 0 || int(l) >= nl {
-			return nil, fmt.Errorf("graph: node %d has label id %d out of range [0,%d)", v, l, nl)
-		}
-	}
-	if err := checkNodeIDs("outAdj", c.OutAdj, n); err != nil {
-		return nil, err
-	}
-	if err := checkNodeIDs("inAdj", c.InAdj, n); err != nil {
-		return nil, err
-	}
-	if err := checkNodeIDs("labelIdx", c.LabelIdx, n); err != nil {
-		return nil, err
-	}
-	labels, err := internerFromNames(c.Labels)
-	if err != nil {
-		return nil, err
-	}
-	fz := &Frozen{
-		nodeHeader: nodeHeader{labels: labels, nodeLabel: c.NodeLabel, catKeys: keySet(c.CatKeys)},
-		nodeColumns: nodeColumns{
-			labelOff: c.LabelOff, labelIdx: c.LabelIdx,
-			attrOff: c.AttrOff, attrKey: c.AttrKey, attrVal: c.AttrVal,
-		},
-		csr:      csr{outOff: c.OutOff, outAdj: c.OutAdj, inOff: c.InOff, inAdj: c.InAdj},
-		numEdges: c.NumEdges,
-	}
-	// Freeze builds the attribute columns by append (nil when the graph
-	// carries no attributes); normalize so FromColumns∘Columns is the
-	// identity under reflect.DeepEqual.
-	if len(fz.attrKey) == 0 {
-		fz.attrKey, fz.attrVal = nil, nil
-	}
-	return fz, nil
-}
 
 // ShardColumns is the flat-array layout of one hash partition of a
 // Sharded, exposed for serialization. All slices alias the shard's

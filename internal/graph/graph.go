@@ -13,10 +13,10 @@
 // logarithmic and set intersections used by the simulation engines are
 // cache friendly, and supports in-place edge insertion and deletion,
 // which the view maintenance code (internal/view) relies on; the
-// immutable *Frozen (see Freeze) is a CSR snapshot with flat edge arrays,
-// a prebuilt lock-free label index and frozen attribute columns,
-// optimized for concurrent read-only evaluation. Engines accept Reader
-// and run identically on either backend.
+// immutable *Sharded (see Shard, and Freeze for k = 1) is k CSR shards
+// with flat edge arrays, prebuilt label partitions and frozen attribute
+// columns, optimized for concurrent read-only evaluation. Engines accept
+// Reader and run identically on either backend.
 package graph
 
 import (

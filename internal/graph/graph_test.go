@@ -550,3 +550,17 @@ func TestInsertRemoveSortedQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGraphLabelIndexInvalidation: AddNode must invalidate the lazily
+// built index (under labelMu) so a later read sees the new node.
+func TestGraphLabelIndexInvalidation(t *testing.T) {
+	g := New()
+	g.AddNode("A")
+	if got := len(g.NodesWithLabelName("A")); got != 1 {
+		t.Fatalf("initial index: %d nodes", got)
+	}
+	g.AddNode("A")
+	if got := len(g.NodesWithLabelName("A")); got != 2 {
+		t.Fatalf("index not invalidated by AddNode: %d nodes", got)
+	}
+}

@@ -2,16 +2,15 @@ package graph
 
 // Reader is the read-only view of a data graph that every engine in this
 // library — simulation, bounded materialization, containment matching,
-// MatchJoin seeding — consumes. Three backends satisfy it:
+// MatchJoin seeding — consumes. Two backends satisfy it:
 //
 //   - *Graph, the mutable adjacency-list representation that the view
 //     maintenance code (internal/view.Maintained) updates in place;
-//   - *Frozen, an immutable CSR snapshot built by Freeze, with flat edge
-//     arrays, a prebuilt label-partitioned node index (no mutex, no lazy
-//     build) and frozen attribute columns;
 //   - *Sharded, a hash-partitioned family of k immutable CSR shards built
-//     by Shard, with per-shard label partitions (merge-on-read global
-//     NodesWithLabel) and per-shard boundary arrays of cross-shard edges.
+//     by Shard (Freeze is k = 1), with flat edge arrays, per-shard label
+//     partitions (merge-on-read global NodesWithLabel; at k = 1 the
+//     prebuilt partition itself, no mutex), frozen attribute columns and
+//     per-shard boundary arrays of cross-shard edges.
 //
 // Engines written against Reader run unchanged on any backend — and on
 // future backends (persistent) that implement the same contract.
@@ -22,7 +21,7 @@ package graph
 // internal storage: callers must treat them as immutable and must not
 // append to, reorder or write through them. Attrs likewise returns a map
 // the caller must not mutate (for *Graph it is the node's live attribute
-// map; *Frozen materializes it from its frozen columns). Use AttrsCopy
+// map; *Sharded materializes it from its frozen columns). Use AttrsCopy
 // when ownership of the map is required.
 //
 // # Ordering contract
@@ -35,9 +34,9 @@ package graph
 // # Concurrency contract
 //
 // Every Reader method is safe for concurrent use as long as no goroutine
-// mutates the backend. *Frozen is immutable and therefore always safe;
-// *Graph additionally serializes the lazy build of its label index, but
-// mutations (AddNode/AddEdge/...) still require external synchronization
+// mutates the backend. *Sharded is immutable apart from its mutex-guarded
+// merge-on-read label cache and therefore always safe; *Graph likewise
+// serializes the lazy build of its label index, but mutations (AddNode/AddEdge/...) still require external synchronization
 // with readers.
 type Reader interface {
 	// NumNodes returns |V|. Node ids are dense: 0..NumNodes()-1.
@@ -85,7 +84,6 @@ type Reader interface {
 // Every backend must satisfy Reader.
 var (
 	_ Reader = (*Graph)(nil)
-	_ Reader = (*Frozen)(nil)
 	_ Reader = (*Sharded)(nil)
 )
 

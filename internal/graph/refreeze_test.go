@@ -15,21 +15,16 @@ import (
 type refreezeChecker struct {
 	t    *testing.T
 	g    *Graph
-	got  []Reader
-	want []Reader
+	got  []*Sharded
+	want []*Sharded
 }
 
-// snapshot takes Freeze(g) for k == 0 and Shard(g, k) otherwise, pairs
-// it with the same build over g.Clone() — which remembers nothing, so it
-// is the everything-dirty case — and re-checks the whole history.
-func (c *refreezeChecker) snapshot(k int) Reader {
+// snapshot takes Shard(g, k), pairs it with the same build over
+// g.Clone() — which remembers nothing, so it is the everything-dirty
+// case — and re-checks the whole history.
+func (c *refreezeChecker) snapshot(k int) *Sharded {
 	c.t.Helper()
-	var got, want Reader
-	if k == 0 {
-		got, want = Freeze(c.g), Freeze(c.g.Clone())
-	} else {
-		got, want = Shard(c.g, k), Shard(c.g.Clone(), k)
-	}
+	got, want := Shard(c.g, k), Shard(c.g.Clone(), k)
 	c.got, c.want = append(c.got, got), append(c.want, want)
 	for i := range c.got {
 		if !reflect.DeepEqual(c.got[i], c.want[i]) {
@@ -73,12 +68,11 @@ func (c *refreezeChecker) burst(rng *rand.Rand, size int) {
 
 // TestRefreezeDifferential runs seeded random programs of edge bursts —
 // none, one, a few, and more than the abandon threshold of dirty nodes —
-// interleaved with Freeze and Shard at k ∈ {1,2,8}, switching kinds so
-// that every memo transition (none, same kind, other kind, other k) is
-// taken, with the occasional node edit that must invalidate the shared
-// columns.
+// interleaved with Shard at k ∈ {1,2,8}, switching k so that every memo
+// transition (none, same k, other k) is taken, with the occasional node
+// edit that must invalidate the shared columns.
 func TestRefreezeDifferential(t *testing.T) {
-	kinds := []int{0, 1, 2, 8}
+	kinds := []int{1, 2, 8}
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 40 + rng.Intn(60)
@@ -130,17 +124,18 @@ func TestRefreezeSharesWhatDidNotChange(t *testing.T) {
 	g.RemoveEdge(3, 3)
 	g.AddEdge(5, 9)
 	f2 := Freeze(g)
-	if f2 == f1 || &f2.nodeLabel[0] != &f1.nodeLabel[0] || &f2.attrKey[0] != &f1.attrKey[0] || !sameArray(f2.labelIdx, f1.labelIdx) {
+	c1, c2 := &f1.shards[0], &f2.shards[0]
+	if f2 == f1 || &f2.nodeLabel[0] != &f1.nodeLabel[0] || &c2.attrKey[0] != &c1.attrKey[0] || !sameArray(c2.labelIdx, c1.labelIdx) {
 		t.Fatalf("small burst: node columns not shared")
 	}
-	if sameArray(f2.outAdj, f1.outAdj) || f1.HasEdge(5, 9) || !f2.HasEdge(5, 9) {
+	if sameArray(c2.outAdj, c1.outAdj) || f1.HasEdge(5, 9) || !f2.HasEdge(5, 9) {
 		t.Fatalf("small burst: adjacency not private to the new snapshot")
 	}
 	if st := g.SnapshotStats(); st != (SnapshotStats{DirtyNodes: 83, SharedParts: 1}) {
 		t.Fatalf("after the small burst: stats %+v", st)
 	}
 
-	s1 := Shard(g, 8) // other kind: from scratch
+	s1 := Shard(g, 8) // other k: from scratch
 	g.AddEdge(8, 16)  // both owned by shard 0
 	s2 := Shard(g, 8)
 	if !sameArray(s2.shards[1].outAdj, s1.shards[1].outAdj) || sameArray(s2.shards[0].outAdj, s1.shards[0].outAdj) {
@@ -178,22 +173,13 @@ func TestThawRemembersItsSource(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	src := randomShardGraph(rng, 70, 210)
 	f := Freeze(src.Clone())
-	s := Shard(src.Clone(), 8)
-	for _, base := range []Reader{f, s} {
-		var g *Graph
-		if fz, ok := base.(*Frozen); ok {
-			g = fz.Thaw()
-		} else {
-			g = s.Thaw()
-		}
+	for _, base := range []*Sharded{f, Shard(src.Clone(), 8)} {
+		g := base.Thaw()
 		if got := Freeze(g.Clone()); !reflect.DeepEqual(got, f) {
 			t.Fatalf("%v: thawed graph does not freeze back to its source", base)
 		}
 		c := &refreezeChecker{t: t, g: g}
-		k := 0
-		if base == Reader(s) {
-			k = 8
-		}
+		k := base.NumShards()
 		if c.snapshot(k) != base {
 			t.Fatalf("%v: untouched thawed graph did not return its source", base)
 		}
@@ -206,8 +192,9 @@ func TestThawRemembersItsSource(t *testing.T) {
 }
 
 // TestRefreezeConcurrentReaders takes snapshots of one graph with dirty
-// nodes pending from many goroutines at once: Freeze and Shard are
-// read-only operations and may race each other (run under -race).
+// nodes pending from many goroutines at once: Shard is a read-only
+// operation and builds at different k may race each other (run under
+// -race).
 func TestRefreezeConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomShardGraph(rng, 90, 300)
@@ -255,13 +242,13 @@ func FuzzRefreeze(f *testing.F) {
 			case 4, 5:
 				c.g.RemoveEdge(u, v)
 			case 6:
-				c.snapshot(0)
+				c.snapshot(1)
 			case 7:
 				c.snapshot(1 + int(program[1])%8)
 			default:
 				c.g.AddEdge(u, v)
 			}
 		}
-		c.snapshot(0)
+		c.snapshot(1)
 	})
 }

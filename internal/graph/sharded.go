@@ -6,11 +6,11 @@ import (
 	"sync"
 )
 
-// Sharded is a hash-partitioned, immutable graph backend: k CSR shards,
-// each owning the nodes hashed to it, together satisfying Reader so that
-// every engine — simulation, bounded materialization, containment
-// matching, MatchJoin seeding — runs on it unchanged. Build one with
-// Shard; Unshard flattens back to a single *Frozen.
+// Sharded is the immutable graph backend: k CSR shards, each owning the
+// nodes hashed to it, together satisfying Reader so that every engine —
+// simulation, bounded materialization, containment matching, MatchJoin
+// seeding — runs on it unchanged. Build one with Shard, or with Freeze
+// for the single-shard snapshot; Thaw converts back to a mutable *Graph.
 //
 // Partitioning is by node id: shard s owns exactly the nodes v with
 // v mod k == s (the dense id space makes the modulus a perfect hash),
@@ -18,14 +18,13 @@ import (
 //
 //   - CSR adjacency (both directions) for its owned nodes — a node's
 //     full edge lists live with its owner, so Out/In are single sorted
-//     slices exactly as on *Frozen;
+//     slices of flat []NodeID arrays addressed by []int32 offsets;
 //   - a per-shard label partition, ascending within the shard, so
 //     candidate seeding can scan shards independently (the
 //     shard-parallel materialization path in internal/simulation);
 //   - per-shard boundary arrays: the cross-shard out-edges (owner(u)=s,
 //     owner(v)≠s) in ascending (u,v) order — the edges a multi-machine
-//     placement has to ship between workers, kept first-class so later
-//     PRs can serialize shards independently;
+//     placement has to ship between workers;
 //   - frozen attribute columns for the owned nodes.
 //
 // NodesWithLabel is partitioned with merge-on-read semantics: the global
@@ -34,6 +33,10 @@ import (
 // lazy index — the shard-parallel seeding path never takes the lock).
 // Apart from that cache a Sharded is immutable after construction and
 // safe for unsynchronized concurrent use.
+//
+// At k = 1 the one shard holds every node at its own id and there is no
+// boundary, so the readers skip the shard arithmetic and NodesWithLabel
+// returns the prebuilt partition with no lock and no cache.
 type Sharded struct {
 	nodeHeader // nodeLabel is global: Label(v) must not pay a shard hop
 	numEdges   int
@@ -59,18 +62,28 @@ type shard struct {
 	boundaryDst []NodeID
 }
 
-// Shard splits any Reader (mutable *Graph, *Frozen, or another *Sharded)
-// into k hash partitions. k is clamped to at least 1; shards may own zero
-// nodes when k exceeds |V|. Later mutations of a source *Graph never
-// show through. Sharding a *Sharded that already has k shards returns it
-// unchanged.
+// Freeze returns the single-shard snapshot of r, Shard(r, 1): one CSR
+// holding every node, with a prebuilt lock-free label partition.
+func Freeze(r Reader) *Sharded { return Shard(r, 1) }
+
+// Shard splits any Reader (mutable *Graph or another *Sharded) into k
+// hash partitions. k is clamped to at least 1; shards may own zero nodes
+// when k exceeds |V|. Later mutations of a source *Graph never show
+// through: the interner is cloned and every array the snapshot holds is
+// private to snapshots. Sharding a *Sharded that already has k shards
+// returns it unchanged.
 //
 // The first split of a graph costs O(|V|+|E|) plus the attribute volume.
-// After that a *Graph remembers its last snapshot exactly as for Freeze:
-// the next Shard at the same k shares the node header and every shard's
-// node columns, carries a shard none of whose nodes is dirty over whole,
-// and splices the CSR of the others. The result is field for field what
-// a from-scratch split of the same graph yields.
+// A *Graph remembers the last snapshot taken of it and the nodes whose
+// adjacency AddEdge/RemoveEdge changed since, so the next Shard at the
+// same k shares the node header and every shard's node columns (labels,
+// label partition, attributes), carries a shard none of whose nodes is
+// dirty over whole, and splices the CSR of the others: bulk copies of
+// the untouched runs plus the dirty nodes' lists. With nothing dirty the
+// remembered snapshot itself is returned. AddNode, SetAttr and
+// SetAttrString drop the memory, and past |V|/4 dirty nodes only the
+// node columns are reused. The result is field for field what a
+// from-scratch split of the same graph yields.
 func Shard(r Reader, k int) *Sharded {
 	if k < 1 {
 		k = 1
@@ -86,7 +99,7 @@ func Shard(r Reader, k int) *Sharded {
 	g.snapMu.Lock()
 	defer g.snapMu.Unlock()
 	m := g.reusable()
-	prev, _ := m.last.(*Sharded)
+	prev := m.last
 	if prev == nil || prev.k != k {
 		prev, m = nil, memo{}
 	}
@@ -147,8 +160,12 @@ func shardOf(r Reader, k int, prev *Sharded, dirty [][]int32) (*Sharded, int) {
 // boundary extracts partition si of k's cross-shard out-edges from its
 // CSR, in ascending (src,dst) order — which falls out of the ascending
 // owned-node walk over sorted out-lists. Counting first sizes the arrays
-// exactly; a shard with no such edge has nil arrays.
+// exactly; a shard with no such edge has nil arrays, and at k = 1 no
+// edge can cross, so the O(|E|) scan is skipped.
 func boundary(c *csr, si, k int) (src, dst []NodeID) {
+	if k == 1 {
+		return nil, nil
+	}
 	cross := 0
 	for _, w := range c.outAdj {
 		if int(w)%k != si {
@@ -170,17 +187,20 @@ func boundary(c *csr, si, k int) (src, dst []NodeID) {
 	return src, dst
 }
 
-// Unshard flattens the partitions back into a single *Frozen CSR
-// snapshot. Because a Sharded is itself a Reader whose methods agree
-// with its source, Shard(r, k).Unshard() is identical — field for field
-// — to Freeze(r), which the round-trip tests pin with reflect.DeepEqual.
-func (s *Sharded) Unshard() *Frozen { return Freeze(s) }
-
 // Thaw converts the partitions back to a mutable *Graph. Mutating the
 // graph never shows through s; the graph remembers s as its last
 // snapshot (see Shard), so the first Shard at the same k after a restart
-// shares s's node columns.
-func (s *Sharded) Thaw() *Graph { return thaw(s, s.catKeys) }
+// shares s's node columns, and Shard(s.Thaw(), s.NumShards()) is s.
+func (s *Sharded) Thaw() *Graph { return thaw(s) }
+
+// locate returns the shard owning v and v's local index in it. At k = 1
+// that is shard 0 at index v, with no division on the hot read path.
+func (s *Sharded) locate(v NodeID) (*shard, int) {
+	if s.k == 1 {
+		return &s.shards[0], int(v)
+	}
+	return &s.shards[int(v)%s.k], int(v) / s.k
+}
 
 // NumShards returns k, the number of hash partitions.
 func (s *Sharded) NumShards() int { return s.k }
@@ -246,8 +266,7 @@ func (s *Sharded) LabelName(v NodeID) string { return s.labels.Name(s.nodeLabel[
 // Attr returns the attribute value for key on v, by linear scan over the
 // owning shard's column range (nodes carry at most a handful of keys).
 func (s *Sharded) Attr(v NodeID, key string) (int64, bool) {
-	sh := &s.shards[int(v)%s.k]
-	li := int(v) / s.k
+	sh, li := s.locate(v)
 	for i := sh.attrOff[li]; i < sh.attrOff[li+1]; i++ {
 		if sh.attrKey[i] == key {
 			return sh.attrVal[i], true
@@ -257,12 +276,12 @@ func (s *Sharded) Attr(v NodeID, key string) (int64, bool) {
 }
 
 // Attrs returns the attribute map of v, materialized fresh from the
-// owning shard's columns (nil for attribute-free nodes). Like
-// *Frozen.Attrs the map does not alias backend storage, but callers
-// should still treat it as read-only per the Reader contract.
+// owning shard's columns (nil for attribute-free nodes). Unlike
+// *Graph.Attrs the map does not alias backend storage, but callers
+// should still treat it as read-only per the Reader contract; use
+// AttrsCopy for guaranteed ownership on any backend.
 func (s *Sharded) Attrs(v NodeID) map[string]int64 {
-	sh := &s.shards[int(v)%s.k]
-	li := int(v) / s.k
+	sh, li := s.locate(v)
 	lo, hi := sh.attrOff[li], sh.attrOff[li+1]
 	if hi == lo {
 		return nil
@@ -283,29 +302,25 @@ func (s *Sharded) IsCategorical(key string) bool {
 // Out returns the successors of v in ascending order: a capped view into
 // the owning shard's CSR array, immutable by construction.
 func (s *Sharded) Out(v NodeID) []NodeID {
-	sh := &s.shards[int(v)%s.k]
-	li := int(v) / s.k
+	sh, li := s.locate(v)
 	return sh.outAdj[sh.outOff[li]:sh.outOff[li+1]:sh.outOff[li+1]]
 }
 
 // In returns the predecessors of v in ascending order. Read-only.
 func (s *Sharded) In(v NodeID) []NodeID {
-	sh := &s.shards[int(v)%s.k]
-	li := int(v) / s.k
+	sh, li := s.locate(v)
 	return sh.inAdj[sh.inOff[li]:sh.inOff[li+1]:sh.inOff[li+1]]
 }
 
 // OutDegree returns |post(v)|.
 func (s *Sharded) OutDegree(v NodeID) int {
-	sh := &s.shards[int(v)%s.k]
-	li := int(v) / s.k
+	sh, li := s.locate(v)
 	return int(sh.outOff[li+1] - sh.outOff[li])
 }
 
 // InDegree returns |pre(v)|.
 func (s *Sharded) InDegree(v NodeID) int {
-	sh := &s.shards[int(v)%s.k]
-	li := int(v) / s.k
+	sh, li := s.locate(v)
 	return int(sh.inOff[li+1] - sh.inOff[li])
 }
 
@@ -321,8 +336,12 @@ func (s *Sharded) HasEdge(u, v NodeID) bool {
 // request and caching the merge (merge-on-read). The cache build is
 // mutex-guarded, so concurrent readers are always safe; the returned
 // slice aliases the cache and must not be mutated (Reader contract).
+// At k = 1 the one shard's partition is the answer: no lock, no cache.
 // Unknown labels (including NoLabel) yield nil.
 func (s *Sharded) NodesWithLabel(l LabelID) []NodeID {
+	if s.k == 1 {
+		return s.ShardNodesWithLabel(0, l)
+	}
 	if l < 0 || int(l) >= s.labels.Len() {
 		return nil
 	}
@@ -340,7 +359,7 @@ func (s *Sharded) NodesWithLabel(l LabelID) []NodeID {
 }
 
 // mergeLabel k-way-merges the per-shard partitions for label l into one
-// ascending slice (nil when no node carries l, matching *Frozen).
+// ascending slice (nil when no node carries l, matching k = 1).
 func (s *Sharded) mergeLabel(l LabelID) []NodeID {
 	parts := make([][]NodeID, 0, s.k)
 	total := 0

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -8,8 +10,32 @@ import (
 )
 
 // shardCounts is the shard sweep the unit tests run; it covers the
-// degenerate single shard, k coprime to typical sizes, and k > |V|.
+// single shard Freeze builds, k coprime to typical sizes, and k > |V|.
 var shardCounts = []int{1, 2, 3, 7, 100}
+
+// fixtureGraph builds a small graph exercising every snapshot code path:
+// multiple labels, integer and categorical attributes, attribute-free
+// nodes, a self loop, sources and sinks.
+func fixtureGraph() *Graph {
+	g := New()
+	a := g.AddNode("A")
+	b := g.AddNode("B")
+	c := g.AddNode("A")
+	d := g.AddNode("C")
+	e := g.AddNode("B")
+	g.SetAttr(a, "x", 3)
+	g.SetAttr(a, "y", -7)
+	g.SetAttrString(b, "cat", "Music")
+	g.SetAttrString(d, "cat", "Sports")
+	g.SetAttr(d, "x", 12)
+	g.AddEdge(a, b)
+	g.AddEdge(a, c)
+	g.AddEdge(b, c)
+	g.AddEdge(c, d)
+	g.AddEdge(d, d) // self loop
+	g.AddEdge(e, a)
+	return g
+}
 
 // randomShardGraph builds a random labeled graph with integer and
 // categorical attributes for the differential unit tests.
@@ -32,97 +58,181 @@ func randomShardGraph(rng *rand.Rand, n, m int) *Graph {
 	return g
 }
 
-// TestShardedMatchesFrozen checks every Reader accessor agrees between a
-// frozen snapshot and the sharded backend at every shard count.
+// readerDiff returns the first Reader method on which got answers
+// differently from want, or "" when every method agrees: sizes, labels,
+// adjacency, degrees, attributes, HasEdge over every node pair, the
+// label partitions (out-of-range ids and an unknown name included),
+// categorical keys and the edge enumeration.
+func readerDiff(want, got Reader) string {
+	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() || got.Size() != want.Size() {
+		return fmt.Sprintf("sizes (%d,%d,%d) vs (%d,%d,%d)", got.NumNodes(), got.NumEdges(), got.Size(),
+			want.NumNodes(), want.NumEdges(), want.Size())
+	}
+	keys := map[string]bool{"absent": true}
+	for v := NodeID(0); int(v) < want.NumNodes(); v++ {
+		if got.Label(v) != want.Label(v) || got.LabelName(v) != want.LabelName(v) {
+			return fmt.Sprintf("node %d: label", v)
+		}
+		if !equalIDs(got.Out(v), want.Out(v)) || !equalIDs(got.In(v), want.In(v)) {
+			return fmt.Sprintf("node %d: adjacency %v/%v vs %v/%v", v, got.Out(v), got.In(v), want.Out(v), want.In(v))
+		}
+		if got.OutDegree(v) != want.OutDegree(v) || got.InDegree(v) != want.InDegree(v) {
+			return fmt.Sprintf("node %d: degree", v)
+		}
+		if !reflect.DeepEqual(got.Attrs(v), want.Attrs(v)) {
+			return fmt.Sprintf("node %d: Attrs %v vs %v", v, got.Attrs(v), want.Attrs(v))
+		}
+		for key := range want.Attrs(v) {
+			keys[key] = true
+		}
+	}
+	for key := range keys {
+		if got.IsCategorical(key) != want.IsCategorical(key) {
+			return fmt.Sprintf("IsCategorical(%q)", key)
+		}
+		for v := NodeID(0); int(v) < want.NumNodes(); v++ {
+			gv, gok := got.Attr(v, key)
+			wv, wok := want.Attr(v, key)
+			if gv != wv || gok != wok {
+				return fmt.Sprintf("node %d: Attr(%q) (%d,%v) vs (%d,%v)", v, key, gv, gok, wv, wok)
+			}
+		}
+	}
+	for u := NodeID(0); int(u) < want.NumNodes(); u++ {
+		for v := NodeID(0); int(v) < want.NumNodes(); v++ {
+			if got.HasEdge(u, v) != want.HasEdge(u, v) {
+				return fmt.Sprintf("HasEdge(%d,%d)", u, v)
+			}
+		}
+	}
+	for l := LabelID(-1); int(l) <= want.Interner().Len(); l++ {
+		if !equalIDs(got.NodesWithLabel(l), want.NodesWithLabel(l)) {
+			return fmt.Sprintf("label %d: partition %v vs %v", l, got.NodesWithLabel(l), want.NodesWithLabel(l))
+		}
+	}
+	for _, name := range append(want.Interner().Names(), "nope") {
+		if !equalIDs(got.NodesWithLabelName(name), want.NodesWithLabelName(name)) {
+			return fmt.Sprintf("label %q: partition", name)
+		}
+	}
+	if got.NodesWithLabel(NoLabel) != nil {
+		return "NodesWithLabel(NoLabel) non-nil"
+	}
+	var ge, we [][2]NodeID
+	got.Edges(func(u, v NodeID) bool { ge = append(ge, [2]NodeID{u, v}); return true })
+	want.Edges(func(u, v NodeID) bool { we = append(we, [2]NodeID{u, v}); return true })
+	if !reflect.DeepEqual(ge, we) {
+		return "Edges enumeration"
+	}
+	return ""
+}
+
+// TestShardedMatchesGraph checks every Reader method of Shard(g, k)
+// against the mutable graph at every shard count, k = 1 (Freeze)
+// included, plus the ownership bookkeeping of the shards.
+func TestShardedMatchesGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for gi, g := range []*Graph{fixtureGraph(), randomShardGraph(rng, 60, 200)} {
+		for _, k := range shardCounts {
+			s := Shard(g, k)
+			if s.NumShards() != k {
+				t.Fatalf("graph %d k=%d: NumShards=%d", gi, k, s.NumShards())
+			}
+			owned := 0
+			for si := 0; si < k; si++ {
+				owned += s.ShardSize(si)
+			}
+			if owned != s.NumNodes() {
+				t.Fatalf("graph %d k=%d: shard sizes sum to %d, want %d", gi, k, owned, s.NumNodes())
+			}
+			for v := NodeID(0); int(v) < g.NumNodes(); v++ {
+				if s.ShardOf(v) != int(v)%k {
+					t.Fatalf("graph %d k=%d node %d: wrong owner", gi, k, v)
+				}
+			}
+			if d := readerDiff(g, s); d != "" {
+				t.Fatalf("graph %d k=%d: %s", gi, k, d)
+			}
+		}
+	}
+}
+
+// TestFrozenMatchesGraph checks every Reader method of Freeze(g), the
+// k=1 fast path (no modulo, no merge cache, no boundary), against the
+// mutable graph.
+func TestFrozenMatchesGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for gi, g := range []*Graph{fixtureGraph(), randomShardGraph(rng, 60, 200)} {
+		f := Freeze(g)
+		if f.NumShards() != 1 {
+			t.Fatalf("graph %d: Freeze built %d shards", gi, f.NumShards())
+		}
+		if d := readerDiff(g, f); d != "" {
+			t.Fatalf("graph %d: %s", gi, d)
+		}
+	}
+	if f := Freeze(fixtureGraph()); !f.IsCategorical("cat") || f.IsCategorical("x") {
+		t.Fatalf("IsCategorical mismatch")
+	}
+}
+
+// TestShardedMatchesFrozen checks the k-way general path against the
+// k=1 fast path directly: every Reader method of Shard(g, k) must answer
+// as Freeze(g) does.
 func TestShardedMatchesFrozen(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := randomShardGraph(rng, 60, 200)
 	f := Freeze(g)
 	for _, k := range shardCounts {
-		s := Shard(g, k)
-		if s.NumShards() != max(k, 1) {
-			t.Fatalf("k=%d: NumShards=%d", k, s.NumShards())
-		}
-		if s.NumNodes() != f.NumNodes() || s.NumEdges() != f.NumEdges() || s.Size() != f.Size() {
-			t.Fatalf("k=%d: size mismatch", k)
-		}
-		owned := 0
-		for si := 0; si < s.NumShards(); si++ {
-			owned += s.ShardSize(si)
-		}
-		if owned != s.NumNodes() {
-			t.Fatalf("k=%d: shard sizes sum to %d, want %d", k, owned, s.NumNodes())
-		}
-		for v := NodeID(0); int(v) < f.NumNodes(); v++ {
-			if s.ShardOf(v) != int(v)%s.NumShards() {
-				t.Fatalf("k=%d node %d: wrong owner", k, v)
-			}
-			if s.Label(v) != f.Label(v) || s.LabelName(v) != f.LabelName(v) {
-				t.Fatalf("k=%d node %d: label mismatch", k, v)
-			}
-			if !equalIDs(s.Out(v), f.Out(v)) || !equalIDs(s.In(v), f.In(v)) {
-				t.Fatalf("k=%d node %d: adjacency mismatch", k, v)
-			}
-			if s.OutDegree(v) != f.OutDegree(v) || s.InDegree(v) != f.InDegree(v) {
-				t.Fatalf("k=%d node %d: degree mismatch", k, v)
-			}
-			if !reflect.DeepEqual(s.Attrs(v), f.Attrs(v)) {
-				t.Fatalf("k=%d node %d: Attrs mismatch", k, v)
-			}
-			for _, key := range []string{"w", "cat", "absent"} {
-				sv, sok := s.Attr(v, key)
-				fv, fok := f.Attr(v, key)
-				if sv != fv || sok != fok {
-					t.Fatalf("k=%d node %d key %q: attr mismatch", k, v, key)
-				}
-			}
-			for _, w := range f.Out(v) {
-				if !s.HasEdge(v, w) {
-					t.Fatalf("k=%d: missing edge (%d,%d)", k, v, w)
-				}
-			}
-			if s.HasEdge(v, NodeID(f.NumNodes()-1)) != f.HasEdge(v, NodeID(f.NumNodes()-1)) {
-				t.Fatalf("k=%d: HasEdge disagrees at node %d", k, v)
-			}
-		}
-		for _, name := range append(g.Interner().Names(), "nope") {
-			if !equalIDs(s.NodesWithLabelName(name), f.NodesWithLabelName(name)) {
-				t.Fatalf("k=%d label %q: partition mismatch:\n%v\nvs\n%v",
-					k, name, s.NodesWithLabelName(name), f.NodesWithLabelName(name))
-			}
-		}
-		if s.NodesWithLabel(NoLabel) != nil {
-			t.Fatalf("k=%d: NodesWithLabel(NoLabel) non-nil", k)
-		}
-		if s.IsCategorical("cat") != f.IsCategorical("cat") || s.IsCategorical("w") != f.IsCategorical("w") {
-			t.Fatalf("k=%d: IsCategorical mismatch", k)
-		}
-		var se, fe [][2]NodeID
-		s.Edges(func(u, v NodeID) bool { se = append(se, [2]NodeID{u, v}); return true })
-		f.Edges(func(u, v NodeID) bool { fe = append(fe, [2]NodeID{u, v}); return true })
-		if !reflect.DeepEqual(se, fe) {
-			t.Fatalf("k=%d: Edges enumeration differs", k)
+		if d := readerDiff(f, Shard(g, k)); d != "" {
+			t.Fatalf("k=%d: %s", k, d)
 		}
 	}
 }
 
-// TestShardUnshardIdentity: Shard→Unshard must reproduce Freeze of the
-// source exactly, field for field, at every shard count — and from every
-// source backend (mutable, frozen, re-sharded).
-func TestShardUnshardIdentity(t *testing.T) {
+// TestReshardIdentity: re-sharding any snapshot at k must reproduce the
+// split of the source at k field for field, whatever shard count the
+// snapshot had — Shard reads nothing but the Reader methods.
+func TestReshardIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomShardGraph(rng, 45, 140)
-	want := Freeze(g)
 	for _, k := range shardCounts {
-		if got := Shard(g, k).Unshard(); !reflect.DeepEqual(want, got) {
-			t.Fatalf("k=%d: Shard(g).Unshard() != Freeze(g)", k)
+		want := Shard(g.Clone(), k)
+		for _, j := range shardCounts {
+			if got := Shard(Shard(g, j), k); !reflect.DeepEqual(want, got) {
+				t.Fatalf("Shard(Shard(g, %d), %d) != Shard(g, %d)", j, k, k)
+			}
 		}
-		if got := Shard(want, k).Unshard(); !reflect.DeepEqual(want, got) {
-			t.Fatalf("k=%d: Shard(Freeze(g)).Unshard() != Freeze(g)", k)
-		}
-		if got := Shard(Shard(g, 3), k).Unshard(); !reflect.DeepEqual(want, got) {
-			t.Fatalf("k=%d: re-sharding diverged", k)
-		}
+	}
+}
+
+// TestFreezeThawFreezeIdentity: Freeze→Thaw→Freeze must reproduce the
+// snapshot exactly — from a clone of the thawed graph too, which
+// remembers nothing — and Thaw must serialize identically to the source.
+func TestFreezeThawFreezeIdentity(t *testing.T) {
+	g := fixtureGraph()
+	f1 := Freeze(g)
+	thawed := f1.Thaw()
+	if f2 := Freeze(thawed); f2 != f1 {
+		t.Fatalf("Freeze of an untouched thawed graph built a new snapshot")
+	}
+	if f2 := Freeze(thawed.Clone()); !reflect.DeepEqual(f1, f2) {
+		t.Fatalf("Freeze(Thaw(Freeze(g))) differs from Freeze(g):\n%+v\nvs\n%+v", f1, f2)
+	}
+
+	var orig, viaFrozen, viaThaw bytes.Buffer
+	if err := Write(&orig, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(&viaFrozen, f1); err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(&viaThaw, thawed); err != nil {
+		t.Fatal(err)
+	}
+	if orig.String() != viaFrozen.String() || orig.String() != viaThaw.String() {
+		t.Fatalf("serializations diverge:\n--- graph ---\n%s--- frozen ---\n%s--- thawed ---\n%s",
+			orig.String(), viaFrozen.String(), viaThaw.String())
 	}
 }
 
@@ -174,11 +284,10 @@ func TestShardBoundaryInvariants(t *testing.T) {
 
 // TestShardPerShardLabelPartitions: shard partitions must tile the global
 // partition — ascending within each shard, owned by it, and merging back
-// to the frozen partition.
+// to the mutable graph's partition.
 func TestShardPerShardLabelPartitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := randomShardGraph(rng, 40, 100)
-	f := Freeze(g)
 	s := Shard(g, 3)
 	for l := LabelID(0); int(l) < g.Interner().Len(); l++ {
 		var parts [][]NodeID
@@ -196,8 +305,8 @@ func TestShardPerShardLabelPartitions(t *testing.T) {
 			parts = append(parts, p)
 			total += len(p)
 		}
-		if !equalIDs(MergeAscending(parts, total), f.NodesWithLabel(l)) {
-			t.Fatalf("label %d: merged shard partitions != frozen partition", l)
+		if !equalIDs(MergeAscending(parts, total), g.NodesWithLabel(l)) {
+			t.Fatalf("label %d: merged shard partitions != graph partition", l)
 		}
 	}
 	if s.ShardNodesWithLabel(0, NoLabel) != nil {
@@ -205,11 +314,12 @@ func TestShardPerShardLabelPartitions(t *testing.T) {
 	}
 }
 
-// TestShardIsolation: mutating the source after Shard must not show
-// through, mirroring TestFreezeIsolation.
-func TestShardIsolation(t *testing.T) {
-	g := frozenFixture()
-	s := Shard(g, 2)
+// requireIsolated checks that mutating the source graph after a
+// snapshot at k does not show through the snapshot.
+func requireIsolated(t *testing.T, k int) {
+	t.Helper()
+	g := fixtureGraph()
+	s := Shard(g, k)
 	nodes, edges := s.NumNodes(), s.NumEdges()
 	aOut := append([]NodeID(nil), s.Out(0)...)
 
@@ -219,49 +329,62 @@ func TestShardIsolation(t *testing.T) {
 	g.Interner().Intern("brand-new-label")
 
 	if s.NumNodes() != nodes || s.NumEdges() != edges {
-		t.Fatalf("sharded backend changed size after source mutation")
+		t.Fatalf("k=%d: snapshot changed size after source mutation", k)
 	}
 	if !equalIDs(s.Out(0), aOut) {
-		t.Fatalf("sharded adjacency changed after source mutation")
+		t.Fatalf("k=%d: snapshot adjacency changed after source mutation", k)
 	}
 	if got, _ := s.Attr(0, "x"); got != 3 {
-		t.Fatalf("sharded attribute changed after source mutation: %d", got)
+		t.Fatalf("k=%d: snapshot attribute changed after source mutation: %d", k, got)
 	}
 	if s.Interner().Lookup("brand-new-label") != NoLabel {
-		t.Fatalf("sharded interner shares state with source")
+		t.Fatalf("k=%d: snapshot interner shares state with source", k)
+	}
+}
+
+// TestFreezeIsolation: mutating the source graph after Freeze must not
+// show through the snapshot.
+func TestFreezeIsolation(t *testing.T) { requireIsolated(t, 1) }
+
+// TestShardIsolation: the same above one shard.
+func TestShardIsolation(t *testing.T) { requireIsolated(t, 2) }
+
+// TestFreezeOfFrozenIsNoop: Freeze on a single-shard snapshot returns it
+// unchanged.
+func TestFreezeOfFrozenIsNoop(t *testing.T) {
+	f := Freeze(fixtureGraph())
+	if Freeze(f) != f || Shard(f, 1) != f {
+		t.Fatalf("Freeze of a single-shard snapshot allocated a new one")
 	}
 }
 
 // TestShardSameKIsNoop: re-sharding at the same k returns the receiver.
 func TestShardSameKIsNoop(t *testing.T) {
-	s := Shard(frozenFixture(), 3)
+	s := Shard(fixtureGraph(), 3)
 	if Shard(s, 3) != s {
 		t.Fatalf("Shard(*Sharded, same k) allocated a new backend")
 	}
-	if Shard(s, 2) == s {
+	if Shard(s, 2) == s || Freeze(s) == s {
 		t.Fatalf("Shard(*Sharded, different k) returned the receiver")
 	}
 }
 
 // TestShardDegenerate: k below 1 clamps, and empty graphs shard cleanly.
 func TestShardDegenerate(t *testing.T) {
-	if s := Shard(New(), 4); s.NumNodes() != 0 || s.NumShards() != 4 || s.Unshard().NumNodes() != 0 {
+	if s := Shard(New(), 4); s.NumNodes() != 0 || s.NumShards() != 4 || Freeze(s).NumNodes() != 0 {
 		t.Fatalf("empty graph sharding broken")
 	}
-	if s := Shard(frozenFixture(), 0); s.NumShards() != 1 {
+	if s := Shard(fixtureGraph(), 0); s.NumShards() != 1 {
 		t.Fatalf("k=0 should clamp to a single shard, got %d", s.NumShards())
 	}
-	if s := Shard(frozenFixture(), -3); s.NumShards() != 1 {
+	if s := Shard(fixtureGraph(), -3); s.NumShards() != 1 {
 		t.Fatalf("negative k should clamp to a single shard, got %d", s.NumShards())
 	}
 }
 
-// TestShardedConcurrentReads hammers the merge-on-read label cache and
-// per-shard accessors from many goroutines; run with -race. The cache
-// build is the one mutex in the backend — everything else is immutable.
-func TestShardedConcurrentReads(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	s := Shard(randomShardGraph(rng, 60, 200), 4)
+// hammer reads s's label partitions and per-shard accessors from many
+// goroutines at once; run with -race.
+func hammer(s *Sharded) {
 	labels := s.Interner()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -283,6 +406,38 @@ func TestShardedConcurrentReads(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestFrozenConcurrentReads: at k = 1 the label partition and the
+// adjacency are read with no locking at all.
+func TestFrozenConcurrentReads(t *testing.T) {
+	hammer(Freeze(randomShardGraph(rand.New(rand.NewSource(5)), 60, 200)))
+}
+
+// TestShardedConcurrentReads: above one shard the merge-on-read label
+// cache build is the one mutex in the backend — everything else is
+// immutable.
+func TestShardedConcurrentReads(t *testing.T) {
+	hammer(Shard(randomShardGraph(rand.New(rand.NewSource(5)), 60, 200), 4))
+}
+
+// TestAttrsCopyOwnership: the copy must not alias backend storage on
+// either backend.
+func TestAttrsCopyOwnership(t *testing.T) {
+	g := fixtureGraph()
+	for _, r := range []Reader{g, Freeze(g), Shard(g, 2)} {
+		c := AttrsCopy(r, 0)
+		c["x"] = 1234
+		if got, _ := r.Attr(0, "x"); got != 3 {
+			t.Fatalf("%v: mutating AttrsCopy leaked into the backend", r)
+		}
+		if AttrsCopy(r, 1) == nil {
+			t.Fatalf("%v: node with attrs returned nil copy", r)
+		}
+		if AttrsCopy(r, 2) != nil {
+			t.Fatalf("%v: attribute-free node returned non-nil copy", r)
+		}
+	}
 }
 
 // TestMergeAscending covers the k-way merge shared with the seeding path.

@@ -5,8 +5,8 @@ import (
 	"sort"
 )
 
-// Snapshot building blocks shared by the two immutable backends. A
-// snapshot is three groups of arrays with different lifetimes:
+// Snapshot building blocks of the immutable backend. A snapshot is three
+// groups of arrays with different lifetimes:
 //
 //   - nodeHeader and nodeColumns — the interner clone, the node labels,
 //     the label partition and the attribute columns. Only AddNode,
@@ -18,9 +18,8 @@ import (
 //     of the previous snapshot's arrays in bulk and reads only the dirty
 //     nodes' lists from the graph.
 //
-// A *Frozen is one partition holding every node (k = 1, si = 0); each
-// shard of a *Sharded is partition si of k, owning the nodes si, si+k,
-// ... at the local indices v div k.
+// Each shard of a *Sharded is partition si of k, owning the nodes si,
+// si+k, ... at the local indices v div k.
 
 // nodeHeader is the graph-wide node data of a snapshot.
 type nodeHeader struct {
@@ -181,8 +180,8 @@ func buildCSR(r Reader, si, k, n int, prev *csr, dirty []int32) csr {
 // memo is what a *Graph remembers about the last snapshot taken of it
 // (or thawed into it), so that the next one can be built from it.
 type memo struct {
-	// last is that snapshot: a *Frozen or a *Sharded.
-	last Reader
+	// last is that snapshot.
+	last *Sharded
 	// dirty is a bitset over node ids: the nodes whose adjacency changed
 	// since last. nil once tracking was abandoned — the next build then
 	// reads every list from the graph and shares only the node columns.
@@ -217,16 +216,16 @@ func (m *memo) partitionDirty(k int) [][]int32 {
 	return lists
 }
 
-// SnapshotStats counts, over the life of one *Graph, what Freeze and
-// Shard had to do for it. Both fields only grow; internal/serve exports
-// them as counters.
+// SnapshotStats counts, over the life of one *Graph, what Shard had to
+// do for it. Both fields only grow; internal/serve exports them as
+// counters.
 type SnapshotStats struct {
 	// DirtyNodes is the number of nodes whose adjacency lists a build
 	// read from the graph instead of copying them from the previous
 	// snapshot; a from-scratch build counts every node.
 	DirtyNodes int
-	// SharedParts is the number of partitions (shards; a *Frozen is one)
-	// carried over from the previous snapshot without copying anything.
+	// SharedParts is the number of shards carried over from the previous
+	// snapshot without copying anything.
 	SharedParts int
 }
 
@@ -242,7 +241,7 @@ func (g *Graph) SnapshotStats() SnapshotStats {
 // (Interner().Intern on the live graph), which changes the shape of the
 // label partition.
 //
-//gvcheck:holds snapMu Freeze and Shard call this with the lock held
+//gvcheck:holds snapMu Shard calls this with the lock held
 func (g *Graph) reusable() memo {
 	if g.snap == nil || g.snap.last.Interner().Len() != g.labels.Len() {
 		return memo{}
@@ -254,8 +253,8 @@ func (g *Graph) reusable() memo {
 // build starts from: it counts the nodes the build read and restarts
 // dirty tracking, recycling from's bitset.
 //
-//gvcheck:holds snapMu Freeze and Shard call this with the lock held
-func (g *Graph) remember(s Reader, from memo) {
+//gvcheck:holds snapMu Shard calls this with the lock held
+func (g *Graph) remember(s *Sharded, from memo) {
 	if from.dirty != nil {
 		g.snapStats.DirtyNodes += from.nDirty
 	} else {
@@ -273,9 +272,9 @@ func (g *Graph) remember(s Reader, from memo) {
 // touch records that the adjacency of u and v changed. It costs one nil
 // check until a snapshot exists, so bulk loading pays nothing.
 func (g *Graph) touch(u, v NodeID) {
-	// Mutations exclude every reader of g, Freeze and Shard included (the
-	// Reader concurrency contract); snapMu only orders concurrent builds.
-	//gvcheck:ignore mutexguard mutators are externally synchronized with Freeze/Shard
+	// Mutations exclude every reader of g, Shard included (the Reader
+	// concurrency contract); snapMu only orders concurrent builds.
+	//gvcheck:ignore mutexguard mutators are externally synchronized with Shard
 	m := g.snap
 	if m == nil || m.dirty == nil {
 		return
@@ -287,10 +286,10 @@ func (g *Graph) touch(u, v NodeID) {
 	}
 }
 
-// thaw builds the mutable twin of an immutable backend. The new graph
-// remembers r as its last snapshot, so the first Freeze or Shard after a
-// restart shares r's node columns instead of rebuilding them.
-func thaw(r Reader, cat map[string]struct{}) *Graph {
+// thaw builds the mutable twin of a snapshot. The new graph remembers r
+// as its last snapshot, so the first Shard at r's k after a restart
+// shares r's node columns instead of rebuilding them.
+func thaw(r *Sharded) *Graph {
 	n := r.NumNodes()
 	g := &Graph{
 		labels:    r.Interner().Clone(),
@@ -311,9 +310,9 @@ func thaw(r Reader, cat map[string]struct{}) *Graph {
 		}
 		g.attrs[v] = r.Attrs(id)
 	}
-	if len(cat) > 0 {
-		g.catKeys = make(map[string]struct{}, len(cat))
-		for k := range cat {
+	if len(r.catKeys) > 0 {
+		g.catKeys = make(map[string]struct{}, len(r.catKeys))
+		for k := range r.catKeys {
 			g.catKeys[k] = struct{}{}
 		}
 	}

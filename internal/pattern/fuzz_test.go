@@ -66,3 +66,33 @@ func FuzzEquivalentPreds(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParsePattern feeds arbitrary text — what /query receives from the
+// network — to Parse and ParseAll: neither may panic, and every pattern
+// they accept must survive Parse(p.String()) unchanged.
+//
+// Run the seed corpus with `go test`; fuzz with
+//
+//	go test -run '^$' -fuzz '^FuzzParsePattern$' -fuzztime 15s ./internal/pattern
+func FuzzParsePattern(f *testing.F) {
+	f.Add("")
+	f.Add("pattern Q {\n  node v: video [category=\"Music\", rate>=40]\n  node w: video\n  edge v -> w <=2\n}\n")
+	f.Add("pattern Qs {\n  node pm: PM\n  node dba: DBA [x!=3, y<-2]\n  edge pm -> dba\n  edge dba -> pm <=*\n}\n")
+	f.Add("# two patterns\npattern A {\nnode a: X\n}\npattern B {\nnode b: Y\nedge b -> b\n}")
+	f.Add("pattern Q {\n  node v: [a=\"\"]\n  edge v -> u\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		ps, _ := ParseAll(src)
+		if p, err := Parse(src); err == nil {
+			ps = append(ps, p)
+		}
+		for _, p := range ps {
+			q, err := Parse(p.String())
+			if err != nil {
+				t.Fatalf("accepted pattern does not reparse: %v\n%s", err, p.String())
+			}
+			if q.Name != p.Name || !q.Equal(p) {
+				t.Fatalf("round trip changed the pattern:\n%s\nvs\n%s", p.String(), q.String())
+			}
+		}
+	})
+}

@@ -15,7 +15,6 @@ import (
 	"strings"
 	"testing"
 
-	gv "graphviews"
 	"graphviews/internal/store"
 )
 
@@ -31,12 +30,7 @@ func newDurableServer(t *testing.T, dir string, cfg Config) (*Server, *store.Sto
 	// — the same thawing cmd/gvserve does.
 	g, vs, q := testWorkload(t)
 	if base := st.Base(); base != nil {
-		switch b := base.(type) {
-		case *gv.Frozen:
-			g = b.Thaw()
-		case *gv.Sharded:
-			g = b.Unshard().Thaw()
-		}
+		g = base.Thaw()
 	}
 	cfg.Store = st
 	s, err := NewServer(g, vs, cfg)

@@ -10,9 +10,9 @@
 //   - Readers do s.cur.Load() exactly once per request and evaluate
 //     entirely against that *Snapshot. They never take a lock, never
 //     block a writer, and can never observe a half-published state: the
-//     snapshot's graph is a *Frozen/*Sharded CSR (immutable by
-//     construction) and its extensions are an immutable clone taken
-//     under the write lock (Maintained.SnapshotExtensions).
+//     snapshot's graph is a *Sharded CSR (immutable by construction)
+//     and its extensions are an immutable clone taken under the write
+//     lock (Maintained.SnapshotExtensions).
 //   - Writers serialize on one mutex: edge updates refresh the
 //     maintained views in place, and publishing freezes the mutable
 //     graph (Engine.Snapshot), clones the extension list, bumps the
@@ -113,7 +113,7 @@ type Snapshot struct {
 	// Version is the maintained write clock captured at publication:
 	// this snapshot reflects exactly the first Version effective updates.
 	Version uint64
-	// Graph is the frozen (or sharded) CSR backend.
+	// Graph is the immutable CSR backend, one or k shards.
 	Graph gv.GraphReader
 	// Exts are the materialized extensions consistent with Graph.
 	Exts *gv.Extensions
@@ -728,8 +728,9 @@ type snapshotJSON struct {
 
 // snapshotInfo projects a snapshot into its JSON description.
 func snapshotInfo(snap *Snapshot, version uint64) *snapshotJSON {
+	// k = 1 keeps the name it had as a backend of its own.
 	backend := "frozen"
-	if _, ok := snap.Graph.(*gv.Sharded); ok {
+	if sh, ok := snap.Graph.(*gv.Sharded); ok && sh.NumShards() > 1 {
 		backend = "sharded"
 	}
 	return &snapshotJSON{

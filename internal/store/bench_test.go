@@ -73,8 +73,8 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotSave / Load measure the checkpoint codec on a frozen
-// backend of ~200k edges.
+// benchMutable builds the store benchmarks' graph: nodes nodes of four
+// labels and four out-edges each.
 func benchMutable(b *testing.B, nodes int) *graph.Graph {
 	b.Helper()
 	g := graph.New()
@@ -92,7 +92,7 @@ func benchMutable(b *testing.B, nodes int) *graph.Graph {
 	return g
 }
 
-func benchGraph(b *testing.B) *graph.Frozen {
+func benchGraph(b *testing.B) *graph.Sharded {
 	return graph.Freeze(benchMutable(b, 50_000))
 }
 
@@ -196,7 +196,7 @@ func BenchmarkRecoveryExtensions(b *testing.B) {
 			if !ok {
 				b.Fatal("persisted extensions did not bind")
 			}
-			thawed := s.Base().(*graph.Frozen).Thaw()
+			thawed := s.Base().Thaw()
 			m := view.NewMaintainedFromExtensions(thawed, restored, 1)
 			if m.Stats.Recomputes != 0 {
 				b.Fatal("restore path rematerialized")
@@ -211,7 +211,7 @@ func BenchmarkRecoveryExtensions(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			thawed := s.Base().(*graph.Frozen).Thaw()
+			thawed := s.Base().Thaw()
 			m, _ := view.NewMaintained(thawed, vs, view.Options{})
 			if len(m.SnapshotExtensions().Exts) != len(x.Exts) {
 				b.Fatal("rematerialization produced a different view set")

@@ -6,7 +6,7 @@ package store
 // identical to full rematerialization over the surviving update prefix
 // — the same differential-oracle shape as sharded_equivalence_test.go
 // and the incremental-maintenance stream matrix, run across all three
-// sync policies × all three checkpoint backends.
+// sync policies × the mutable, k=1 and k=3 checkpoints.
 
 import (
 	"math/rand"
@@ -72,20 +72,6 @@ func crashStream(rng *rand.Rand, g *graph.Graph, nb int) [][]view.EdgeUpdate {
 	return batches
 }
 
-// thaw converts a checkpointed backend back to a mutable graph.
-func thaw(t *testing.T, r graph.Reader) *graph.Graph {
-	t.Helper()
-	switch b := r.(type) {
-	case *graph.Frozen:
-		return b.Thaw()
-	case *graph.Sharded:
-		return b.Unshard().Thaw()
-	default:
-		t.Fatalf("unexpected checkpoint backend %T", r)
-		return nil
-	}
-}
-
 // materialize is the from-scratch oracle: sequential, never cancelled.
 func materialize(g graph.Reader, vs *view.Set) *view.Extensions {
 	x, err := view.Materialize(g, vs, view.Options{})
@@ -112,7 +98,8 @@ func requireSameExtensions(t *testing.T, got, want *view.Extensions) {
 }
 
 // TestCrashRecoveryMatrix is the kill-at-random-offset matrix: for each
-// sync policy × checkpoint backend, append a random update stream,
+// sync policy × checkpointed graph (the mutable one, checkpointed as its
+// k=1 snapshot; Freeze, k=1; Shard, k=3), append a random update stream,
 // "crash" by cutting the WAL at a random byte offset (sometimes also
 // corrupting the new tail), recover, and require (1) the recovered tail
 // is an exact batch prefix of what was appended and (2) replaying it
@@ -208,7 +195,7 @@ func runCrashTrial(t *testing.T, rng *rand.Rand, policy SyncPolicy, checkpoint f
 	}
 
 	// Replay through delta propagation into maintained views.
-	m, _ := view.NewMaintained(thaw(t, s2.Base()), vs, view.Options{})
+	m, _ := view.NewMaintained(s2.Base().Thaw(), vs, view.Options{})
 	feed := view.NewFeed(m)
 	for _, b := range tail {
 		feed.Submit(b...)
@@ -217,7 +204,7 @@ func runCrashTrial(t *testing.T, rng *rand.Rand, policy SyncPolicy, checkpoint f
 	got := m.SnapshotExtensions()
 
 	// Oracle: full rematerialization over the surviving prefix.
-	oracle := thaw(t, s2.Base())
+	oracle := s2.Base().Thaw()
 	for _, b := range tail {
 		for _, up := range b {
 			if up.Delete {

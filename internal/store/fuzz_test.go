@@ -70,7 +70,7 @@ func FuzzWALReplay(f *testing.F) {
 // FuzzSnapshotManifest: arbitrary bytes → decodeManifest must never
 // panic; any image it accepts must re-encode and re-decode to the same
 // manifest (the commit point relies on this being a fixed point). The
-// seed corpus pins real frozen/sharded/extension manifests plus
+// seed corpus pins real legacy-frozen/sharded/extension manifests plus
 // truncated and bit-flipped variants.
 func FuzzSnapshotManifest(f *testing.F) {
 	frozen := encodeManifest(&manifest{

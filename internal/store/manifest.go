@@ -2,8 +2,8 @@ package store
 
 // The per-shard checkpoint layout: a small MANIFEST file naming one
 // global part (labels, categorical keys, node→label column), one part
-// per shard (CSR in both directions, label partition, attribute
-// columns and — sharded — the boundary arrays) and optionally one
+// per shard (node count, CSR in both directions, label partition,
+// boundary arrays and attribute columns) and optionally one
 // extensions part (the materialized views, extensions.go). The
 // manifest rename is the single atomic commit point of a checkpoint:
 // part files are immutable once written and named by the checkpoint
@@ -53,7 +53,11 @@ const maniEntryLen = 1 + 4 + 8 + 8
 // maxShardCount bounds k against corrupted manifests.
 const maxShardCount = 1 << 20
 
-// Checkpoint kinds: which backend the parts reassemble into.
+// Checkpoint kinds. Every checkpoint is written as kindSharded; a
+// kindFrozen manifest is the single-shard layout of earlier builds,
+// whose shard part carries no node count and no boundary sections. It
+// is still read, into the same one-shard backend, and the next
+// checkpoint rewrites it whole as kindSharded.
 const (
 	kindFrozen  = 1
 	kindSharded = 2
@@ -82,7 +86,7 @@ func (e partEntry) name() string {
 
 // manifest describes one committed checkpoint.
 type manifest struct {
-	kind     byte // kindFrozen or kindSharded
+	kind     byte // kindSharded, or kindFrozen read from an earlier build
 	k        int  // shard count (1 for kindFrozen)
 	seq      uint64
 	version  uint64 // maintained write clock at checkpoint time
@@ -222,80 +226,42 @@ func decodeManifest(data []byte) (*manifest, error) {
 	return m, nil
 }
 
-// partPlan is the checkpoint-side view of a backend: its kind, shape
-// and the column sets the part writers consume. Building a plan may
-// freeze a mutable graph.
-type partPlan struct {
-	kind    byte
-	k       int
-	n       int
-	edges   int
-	frozen  *graph.FrozenColumns
-	sharded *graph.ShardedColumns
-}
-
-// planOf projects g into a part plan.
-func planOf(g graph.Reader) *partPlan {
-	switch b := g.(type) {
-	case *graph.Sharded:
-		c := b.Columns()
-		return &partPlan{kind: kindSharded, k: c.K, n: len(c.NodeLabel), edges: c.NumEdges, sharded: c}
-	case *graph.Frozen:
-		c := b.Columns()
-		return &partPlan{kind: kindFrozen, k: 1, n: len(c.NodeLabel), edges: c.NumEdges, frozen: c}
-	default:
-		c := graph.Freeze(g).Columns()
-		return &partPlan{kind: kindFrozen, k: 1, n: len(c.NodeLabel), edges: c.NumEdges, frozen: c}
+// columnsOf projects g into the column sets the part writers consume,
+// building its single-shard snapshot when g is a mutable graph.
+func columnsOf(g graph.Reader) *graph.ShardedColumns {
+	sh, ok := g.(*graph.Sharded)
+	if !ok {
+		sh = graph.Freeze(g)
 	}
+	return sh.Columns()
 }
 
 // writeGlobalPart emits the label-universe columns shared by every
 // shard. These change only when the node set or label universe does —
 // never under edge updates — so incremental checkpoints carry the
 // global part over untouched.
-func (p *partPlan) writeGlobalPart(pw *partWriter, seq uint64) {
+func writeGlobalPart(pw *partWriter, c *graph.ShardedColumns, seq uint64) {
 	pw.header(roleGlobal, seq)
-	if p.kind == kindSharded {
-		pw.pstrings(ptagLabels, p.sharded.Labels)
-		pw.pstrings(ptagCatKeys, p.sharded.CatKeys)
-		putPI32s(pw, ptagNodeLabel, p.sharded.NodeLabel)
-		return
-	}
-	pw.pstrings(ptagLabels, p.frozen.Labels)
-	pw.pstrings(ptagCatKeys, p.frozen.CatKeys)
-	putPI32s(pw, ptagNodeLabel, p.frozen.NodeLabel)
+	pw.pstrings(ptagLabels, c.Labels)
+	pw.pstrings(ptagCatKeys, c.CatKeys)
+	putPI32s(pw, ptagNodeLabel, c.NodeLabel)
 }
 
-// writeShardPart emits shard i's columns. A frozen backend is a single
-// "shard" holding the whole CSR.
-func (p *partPlan) writeShardPart(pw *partWriter, i int, seq uint64) {
+// writeShardPart emits one shard's columns.
+func writeShardPart(pw *partWriter, sc *graph.ShardColumns, seq uint64) {
 	pw.header(roleShard, seq)
-	if p.kind == kindSharded {
-		sc := &p.sharded.Shards[i]
-		pw.pu64(ptagShardN, uint64(sc.N))
-		putPI32s(pw, ptagOutOff, sc.OutOff)
-		putPI32s(pw, ptagOutAdj, sc.OutAdj)
-		putPI32s(pw, ptagInOff, sc.InOff)
-		putPI32s(pw, ptagInAdj, sc.InAdj)
-		putPI32s(pw, ptagLabelOff, sc.LabelOff)
-		putPI32s(pw, ptagLabelIdx, sc.LabelIdx)
-		putPI32s(pw, ptagBoundSrc, sc.BoundarySrc)
-		putPI32s(pw, ptagBoundDst, sc.BoundaryDst)
-		putPI32s(pw, ptagAttrOff, sc.AttrOff)
-		pw.pstrings(ptagAttrKey, sc.AttrKey)
-		pw.pi64s(ptagAttrVal, sc.AttrVal)
-		return
-	}
-	c := p.frozen
-	putPI32s(pw, ptagOutOff, c.OutOff)
-	putPI32s(pw, ptagOutAdj, c.OutAdj)
-	putPI32s(pw, ptagInOff, c.InOff)
-	putPI32s(pw, ptagInAdj, c.InAdj)
-	putPI32s(pw, ptagLabelOff, c.LabelOff)
-	putPI32s(pw, ptagLabelIdx, c.LabelIdx)
-	putPI32s(pw, ptagAttrOff, c.AttrOff)
-	pw.pstrings(ptagAttrKey, c.AttrKey)
-	pw.pi64s(ptagAttrVal, c.AttrVal)
+	pw.pu64(ptagShardN, uint64(sc.N))
+	putPI32s(pw, ptagOutOff, sc.OutOff)
+	putPI32s(pw, ptagOutAdj, sc.OutAdj)
+	putPI32s(pw, ptagInOff, sc.InOff)
+	putPI32s(pw, ptagInAdj, sc.InAdj)
+	putPI32s(pw, ptagLabelOff, sc.LabelOff)
+	putPI32s(pw, ptagLabelIdx, sc.LabelIdx)
+	putPI32s(pw, ptagBoundSrc, sc.BoundarySrc)
+	putPI32s(pw, ptagBoundDst, sc.BoundaryDst)
+	putPI32s(pw, ptagAttrOff, sc.AttrOff)
+	pw.pstrings(ptagAttrKey, sc.AttrKey)
+	pw.pi64s(ptagAttrVal, sc.AttrVal)
 }
 
 // writePartFile writes one part through fill into its final name (no
@@ -367,7 +333,7 @@ func readPart(dir string, e partEntry, useMmap bool) (*partReader, error) {
 
 // loadManifestGraph assembles the checkpointed backend (and, when
 // present, the serialized view extensions) from a committed manifest.
-func loadManifestGraph(dir string, m *manifest, useMmap bool) (graph.Reader, []ExtensionData, error) {
+func loadManifestGraph(dir string, m *manifest, useMmap bool) (*graph.Sharded, []ExtensionData, error) {
 	ge, _ := m.global()
 	gpr, err := readPart(dir, ge, useMmap)
 	if err != nil {
@@ -383,66 +349,47 @@ func loadManifestGraph(dir string, m *manifest, useMmap bool) (graph.Reader, []E
 		return nil, nil, fmt.Errorf("store: global part has %d nodes, manifest says %d", len(nodeLabel), m.numNodes)
 	}
 
-	var g graph.Reader
-	if m.kind == kindSharded {
-		c := &graph.ShardedColumns{
-			Labels:    labels,
-			CatKeys:   catKeys,
-			NumEdges:  m.numEdges,
-			K:         m.k,
-			NodeLabel: nodeLabel,
-			Shards:    make([]graph.ShardColumns, m.k),
+	// A legacy kindFrozen shard part is the one shard of every node,
+	// written without the node count and boundary sections.
+	legacy := m.kind == kindFrozen
+	c := &graph.ShardedColumns{
+		Labels:    labels,
+		CatKeys:   catKeys,
+		NumEdges:  m.numEdges,
+		K:         m.k,
+		NodeLabel: nodeLabel,
+		Shards:    make([]graph.ShardColumns, m.k),
+	}
+	for i := 0; i < m.k; i++ {
+		se, _ := m.shard(i)
+		pr, err := readPart(dir, se, useMmap)
+		if err != nil {
+			return nil, nil, err
 		}
-		for i := 0; i < m.k; i++ {
-			se, _ := m.shard(i)
-			pr, err := readPart(dir, se, useMmap)
-			if err != nil {
-				return nil, nil, err
-			}
-			sc := &c.Shards[i]
+		sc := &c.Shards[i]
+		if legacy {
+			sc.N = m.numNodes
+		} else {
 			sc.N = int(pr.ru64(ptagShardN))
-			sc.OutOff = readPI32s[int32](pr, ptagOutOff)
-			sc.OutAdj = readPI32s[graph.NodeID](pr, ptagOutAdj)
-			sc.InOff = readPI32s[int32](pr, ptagInOff)
-			sc.InAdj = readPI32s[graph.NodeID](pr, ptagInAdj)
-			sc.LabelOff = readPI32s[int32](pr, ptagLabelOff)
-			sc.LabelIdx = readPI32s[graph.NodeID](pr, ptagLabelIdx)
+		}
+		sc.OutOff = readPI32s[int32](pr, ptagOutOff)
+		sc.OutAdj = readPI32s[graph.NodeID](pr, ptagOutAdj)
+		sc.InOff = readPI32s[int32](pr, ptagInOff)
+		sc.InAdj = readPI32s[graph.NodeID](pr, ptagInAdj)
+		sc.LabelOff = readPI32s[int32](pr, ptagLabelOff)
+		sc.LabelIdx = readPI32s[graph.NodeID](pr, ptagLabelIdx)
+		if !legacy {
 			sc.BoundarySrc = readPI32s[graph.NodeID](pr, ptagBoundSrc)
 			sc.BoundaryDst = readPI32s[graph.NodeID](pr, ptagBoundDst)
-			sc.AttrOff = readPI32s[int32](pr, ptagAttrOff)
-			sc.AttrKey = pr.rstrings(ptagAttrKey)
-			sc.AttrVal = pr.ri64s(ptagAttrVal)
-			if err := pr.done(); err != nil {
-				return nil, nil, fmt.Errorf("%s: %w", se.name(), err)
-			}
 		}
-		g, err = graph.ShardedFromColumns(c)
-	} else {
-		se, _ := m.shard(0)
-		pr, rerr := readPart(dir, se, useMmap)
-		if rerr != nil {
-			return nil, nil, rerr
-		}
-		c := &graph.FrozenColumns{
-			Labels:    labels,
-			CatKeys:   catKeys,
-			NumEdges:  m.numEdges,
-			NodeLabel: nodeLabel,
-		}
-		c.OutOff = readPI32s[int32](pr, ptagOutOff)
-		c.OutAdj = readPI32s[graph.NodeID](pr, ptagOutAdj)
-		c.InOff = readPI32s[int32](pr, ptagInOff)
-		c.InAdj = readPI32s[graph.NodeID](pr, ptagInAdj)
-		c.LabelOff = readPI32s[int32](pr, ptagLabelOff)
-		c.LabelIdx = readPI32s[graph.NodeID](pr, ptagLabelIdx)
-		c.AttrOff = readPI32s[int32](pr, ptagAttrOff)
-		c.AttrKey = pr.rstrings(ptagAttrKey)
-		c.AttrVal = pr.ri64s(ptagAttrVal)
+		sc.AttrOff = readPI32s[int32](pr, ptagAttrOff)
+		sc.AttrKey = pr.rstrings(ptagAttrKey)
+		sc.AttrVal = pr.ri64s(ptagAttrVal)
 		if err := pr.done(); err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", se.name(), err)
 		}
-		g, err = graph.FrozenFromColumns(c)
 	}
+	g, err := graph.ShardedFromColumns(c)
 	if err != nil {
 		return nil, nil, err
 	}

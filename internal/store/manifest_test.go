@@ -2,8 +2,9 @@ package store
 
 // Tests of the per-shard checkpoint layout: incremental rewrites touch
 // only dirty shards, the manifest rename is the single commit point
-// (crash windows on either side recover cleanly), a legacy single-file
-// snapshot is refused rather than mistaken for a fresh directory,
+// (crash windows on either side recover cleanly), a legacy kindFrozen
+// manifest still opens, a legacy single-file snapshot is refused rather
+// than mistaken for a fresh directory,
 // extensions round-trip exactly, and zero-copy mmap loads are
 // indistinguishable from buffered reads.
 
@@ -136,6 +137,80 @@ func TestCheckpointKindChangeForcesFullRewrite(t *testing.T) {
 		if n != "global-2.part" && n != "shard-0-2.part" {
 			t.Fatalf("stale part %s survived the full rewrite", n)
 		}
+	}
+}
+
+// TestLegacyFrozenLayoutOpens: testdata/legacy-frozen-k1 was
+// checkpointed by an earlier build whose default single-shard base was
+// written as a kindFrozen manifest — richGraph at write clock 5 with
+// crashViews' extensions, plus one WAL record after it. It must still
+// open into exactly the backend Freeze builds today, and the next
+// checkpoint must rewrite every part under a kindSharded manifest.
+func TestLegacyFrozenLayoutOpens(t *testing.T) {
+	src := filepath.Join("testdata", "legacy-frozen-k1")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("legacy data dir does not open: %v", err)
+	}
+	defer s.Close()
+	g := richGraph()
+	if !reflect.DeepEqual(s.Base(), graph.Shard(g, 1)) || s.BaseVersion() != 5 {
+		t.Fatal("legacy base differs from Shard(g, 1)")
+	}
+	vs := crashViews()
+	x, ok := s.BaseExtensions(vs)
+	if !ok {
+		t.Fatal("legacy extensions did not bind")
+	}
+	requireSameExtensions(t, x, materialize(g, vs))
+	if want := [][]view.EdgeUpdate{{{From: 0, To: 2}}}; !reflect.DeepEqual(s.Tail(), want) {
+		t.Fatalf("legacy tail %v, want %v", s.Tail(), want)
+	}
+
+	g.AddEdge(0, 2)
+	if err := s.Checkpoint(graph.Freeze(g), nil, 6); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := decodeManifest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.kind != kindSharded || m.k != 1 {
+		t.Fatalf("checkpoint after a legacy open wrote kind %d with k=%d", m.kind, m.k)
+	}
+	for _, e := range m.parts {
+		if e.seq != m.seq {
+			t.Fatalf("part %s carried over from the legacy checkpoint", e.name())
+		}
+	}
+	if got := partNames(t, dir); !reflect.DeepEqual(got, []string{"global-2.part", "shard-0-2.part"}) {
+		t.Fatalf("parts after the rewrite: %v", got)
+	}
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if !reflect.DeepEqual(s2.Base(), graph.Shard(g, 1)) {
+		t.Fatal("rewritten checkpoint differs from Shard(g, 1)")
 	}
 }
 
@@ -397,7 +472,7 @@ func TestCrashBeforeManifestRename(t *testing.T) {
 // replays the recovered tail through delta propagation on top of the
 // restored extensions. It returns the maintained state, the restored
 // extensions, and the frozen graph from before the replay.
-func replayReflectedTail(t *testing.T, batches [][]view.EdgeUpdate) (*view.Maintained, *view.Extensions, *graph.Frozen, *view.Set) {
+func replayReflectedTail(t *testing.T, batches [][]view.EdgeUpdate) (*view.Maintained, *view.Extensions, *graph.Sharded, *view.Set) {
 	t.Helper()
 	dir := t.TempDir()
 	g := richGraph()
@@ -443,7 +518,7 @@ func replayReflectedTail(t *testing.T, batches [][]view.EdgeUpdate) (*view.Maint
 	if !ok {
 		t.Fatal("checkpointed extensions did not bind")
 	}
-	thawed := thaw(t, s2.Base())
+	thawed := s2.Base().Thaw()
 	frozenBefore := graph.Freeze(thawed)
 	m := view.NewMaintainedFromExtensions(thawed, restored, 1)
 	feed := view.NewFeed(m)

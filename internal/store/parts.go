@@ -1,17 +1,16 @@
 package store
 
 // Aligned section codec for the checkpoint part files: the immutable
-// graph backends are written in their existing flat-array layout
-// (graph.FrozenColumns / graph.ShardedColumns), one CRC32C-framed
-// section per column, and loading adopts each column through
-// graph.FrozenFromColumns/ShardedFromColumns — no CSR rebuild, no
-// re-sorting, no re-interning; Checkpoint∘Open is the identity on the
-// backend (reflect.DeepEqual, pinned by tests). Sections appear in a
-// fixed order per role and the reader demands exactly that order, so a
-// reordered or spliced file fails fast. Every payload is kept 8-byte
-// aligned so a file mapped into memory can hand its integer columns
-// straight to the graph backends without copying (see loadManifestGraph
-// and mmap_unix.go):
+// graph backend is written in its existing flat-array layout
+// (graph.ShardedColumns), one CRC32C-framed section per column, and
+// loading adopts each column through graph.ShardedFromColumns — no CSR
+// rebuild, no re-sorting, no re-interning; Checkpoint∘Open is the
+// identity on the backend (reflect.DeepEqual, pinned by tests). Sections
+// appear in a fixed order per role and the reader demands exactly that
+// order, so a reordered or spliced file fails fast. Every payload is
+// kept 8-byte aligned so a file mapped into memory can hand its integer
+// columns straight to the graph backend without copying (see
+// loadManifestGraph and mmap_unix.go):
 //
 //	header (24 bytes):
 //	  magic "GVPART01" | format u32 LE | role u8 | pad u8[3] | seq u64 LE
@@ -44,7 +43,7 @@ const partFormat = 1
 // Part roles: which slice of the checkpoint a part file carries.
 const (
 	roleGlobal = 1 // labels, categorical keys, node→label column
-	roleShard  = 2 // one shard's CSR + label partition + attrs (+ boundaries)
+	roleShard  = 2 // one shard's CSR + label partition + boundaries + attrs
 	roleExts   = 3 // materialized view extensions
 )
 
@@ -74,9 +73,9 @@ const (
 	ptagAttrOff   = 10 // i32s: attribute column offsets
 	ptagAttrKey   = 11 // strings: attribute keys, per-node sorted
 	ptagAttrVal   = 12 // i64s: attribute values
-	ptagShardN    = 13 // u64: owned node count (sharded shard parts)
-	ptagBoundSrc  = 14 // i32s: boundary edge sources (sharded shard parts)
-	ptagBoundDst  = 15 // i32s: boundary edge targets (sharded shard parts)
+	ptagShardN    = 13 // u64: owned node count (not in legacy kindFrozen parts)
+	ptagBoundSrc  = 14 // i32s: boundary edge sources (not in legacy kindFrozen parts)
+	ptagBoundDst  = 15 // i32s: boundary edge targets (not in legacy kindFrozen parts)
 
 	ptagExtCount    = 32 // u64: number of serialized view extensions
 	ptagExtMeta     = 33 // strings: [view name, pattern fingerprint]

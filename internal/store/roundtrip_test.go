@@ -62,8 +62,9 @@ func checkpointOpen(t *testing.T, g graph.Reader, version uint64) (graph.Reader,
 	return s2.Base(), s2.BaseVersion()
 }
 
-// TestSnapshotFrozenIdentity: Checkpoint→Open is the identity on
-// *Frozen, down to reflect.DeepEqual of the unexported flat arrays.
+// TestSnapshotFrozenIdentity: Checkpoint→Open is the identity on the
+// k=1 snapshot Freeze builds, down to reflect.DeepEqual of the
+// unexported flat arrays.
 func TestSnapshotFrozenIdentity(t *testing.T) {
 	want := graph.Freeze(richGraph())
 	got, v := checkpointOpen(t, want, 42)
@@ -71,7 +72,7 @@ func TestSnapshotFrozenIdentity(t *testing.T) {
 		t.Fatalf("version = %d, want 42", v)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Checkpoint→Open is not the identity on Frozen:\n got %#v\nwant %#v", got, want)
+		t.Fatalf("Checkpoint→Open is not the identity on Freeze(g):\n got %#v\nwant %#v", got, want)
 	}
 }
 
@@ -92,7 +93,7 @@ func TestSnapshotShardedIdentity(t *testing.T) {
 }
 
 // TestSnapshotMutableFreezes: checkpointing a mutable *Graph stores its
-// frozen form.
+// k=1 snapshot.
 func TestSnapshotMutableFreezes(t *testing.T) {
 	g := richGraph()
 	got, _ := checkpointOpen(t, g, 1)
@@ -113,9 +114,8 @@ func TestSnapshotEmptyGraph(t *testing.T) {
 // TestSnapshotCorruptionDetected: flipping any single byte of a shard
 // part, the global part or the extensions part, or truncating one
 // anywhere, must fail Open — checkpoints are atomic, so unlike a WAL
-// tail, damage is an error, not data. Global and extensions parts are
-// laid out the same for both backends; the shard part is swept in both
-// layouts (a sharded one adds its node count and boundary arrays).
+// tail, damage is an error, not data. Every part is swept at k=1; at
+// k=3 a shard part with boundary arrays is swept too.
 func TestSnapshotCorruptionDetected(t *testing.T) {
 	vs := crashViews()
 	for _, c := range []struct {

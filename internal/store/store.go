@@ -107,7 +107,7 @@ type Store struct {
 	// serialized view extensions stored with the checkpoint (empty when
 	// none were persisted). All four are written once at Open and
 	// read-only afterwards.
-	base        graph.Reader
+	base        *graph.Sharded
 	baseVersion uint64
 	tail        [][]view.EdgeUpdate
 	baseExts    []ExtensionData
@@ -193,9 +193,9 @@ func Open(dir string, opts Options) (*Store, error) {
 // Dir returns the data directory path.
 func (s *Store) Dir() string { return s.dir }
 
-// Base returns the checkpointed graph backend found at Open (a *Frozen
-// or *Sharded), or nil on a fresh directory. Read-only.
-func (s *Store) Base() graph.Reader { return s.base }
+// Base returns the checkpointed graph backend found at Open, or nil on a
+// fresh directory. Read-only.
+func (s *Store) Base() *graph.Sharded { return s.base }
 
 // BaseVersion returns the write clock the checkpoint was taken at.
 func (s *Store) BaseVersion() uint64 { return s.baseVersion }
@@ -273,17 +273,17 @@ func (s *Store) MarkAllDirty() {
 func (s *Store) Checkpoint(g graph.Reader, x *view.Extensions, version uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	plan := planOf(g)
+	c := columnsOf(g)
 	old := s.man
 	full := s.dirtyAll || old == nil ||
-		old.kind != plan.kind || old.k != plan.k || old.numNodes != plan.n
+		old.kind != kindSharded || old.k != c.K || old.numNodes != len(c.NodeLabel)
 	var seq uint64 = 1
 	if old != nil {
 		seq = old.seq + 1
 	}
 	newMan := &manifest{
-		kind: plan.kind, k: plan.k, seq: seq, version: version,
-		numNodes: plan.n, numEdges: plan.edges,
+		kind: kindSharded, k: c.K, seq: seq, version: version,
+		numNodes: len(c.NodeLabel), numEdges: c.NumEdges,
 	}
 	var written []partEntry
 	var bytes int64
@@ -297,7 +297,7 @@ func (s *Store) Checkpoint(g graph.Reader, x *view.Extensions, version uint64) e
 	ge := partEntry{role: roleGlobal, seq: seq}
 	if full {
 		var err error
-		if ge, err = writePartFile(s.dir, ge, func(pw *partWriter) { plan.writeGlobalPart(pw, seq) }); err != nil {
+		if ge, err = writePartFile(s.dir, ge, func(pw *partWriter) { writeGlobalPart(pw, c, seq) }); err != nil {
 			return fail(err)
 		}
 		written = append(written, ge)
@@ -308,13 +308,13 @@ func (s *Store) Checkpoint(g graph.Reader, x *view.Extensions, version uint64) e
 	newMan.parts = append(newMan.parts, ge)
 
 	var wrote, skipped int64
-	for i := 0; i < plan.k; i++ {
+	for i := 0; i < c.K; i++ {
 		se := partEntry{role: roleShard, idx: i, seq: seq}
 		_, isDirty := s.dirty[i]
 		if full || isDirty {
 			var err error
 			i := i
-			if se, err = writePartFile(s.dir, se, func(pw *partWriter) { plan.writeShardPart(pw, i, seq) }); err != nil {
+			if se, err = writePartFile(s.dir, se, func(pw *partWriter) { writeShardPart(pw, &c.Shards[i], seq) }); err != nil {
 				return fail(err)
 			}
 			written = append(written, se)

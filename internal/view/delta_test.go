@@ -214,8 +214,8 @@ func TestFeedCoalescesAndFlushes(t *testing.T) {
 // insert-heavy, cancel-heavy and interleaved streams × workers {1,4},
 // with maintained extensions checked byte-identical (Result.Equal spans
 // sim sets, match pairs and recorded distances) against fresh
-// materialization over all three Reader backends — mutable, Frozen and
-// Sharded — after every batch.
+// materialization over the mutable graph and its snapshots at k = 1
+// (Freeze) and k = 3 after every batch.
 func TestAdversarialDeltaStreams(t *testing.T) {
 	labels := []string{"A", "B", "C"}
 	type stream struct {
