@@ -9,8 +9,8 @@ package graphviews_test
 // that reintroduces per-call working-state allocation fails loudly.
 //
 // The bounds are deliberately loose (≥2× headroom over measured values,
-// which are documented in README.md §Performance alongside the
-// `-benchmem` numbers in BENCH_PR4.json) — they exist to catch
+// which are documented in OPERATIONS.md §Benchmarks; `make bench`
+// prints the matching `-benchmem` numbers) — they exist to catch
 // order-of-magnitude regressions, not to freeze exact counts. Skipped
 // under -race: the race runtime changes allocation behavior.
 

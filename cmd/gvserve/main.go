@@ -119,7 +119,6 @@ func main() {
 		timeout      = flag.Duration("timeout", 5*time.Second, "per-request deadline (<=0 none)")
 		publishEvery = flag.Duration("publish-every", 0, "republish the snapshot on this period when updates are pending (<=0 off)")
 		publishAfter = flag.Int("publish-after", 0, "publish once this many updates accumulated (<=0 off)")
-		flushAfter   = flag.Int("flush-after", 0, "buffer updates in the coalescing feed until this many deltas accumulated (<=0 = propagate immediately)")
 		dataDir      = flag.String("data-dir", "", "durable store directory (checkpoint snapshot + write-ahead log); empty = ephemeral, updates lost on restart")
 		walSync      = flag.String("wal-sync", "always", "WAL durability for acknowledged updates: always (fsync per record), none, or a group-commit interval like 50ms")
 		useMmap      = flag.Bool("mmap", false, "memory-map checkpoint part files at load instead of reading them (zero-copy column adoption; unix only, falls back to reads elsewhere)")
@@ -175,7 +174,6 @@ func main() {
 		RequestTimeout:    *timeout,
 		PublishEvery:      *publishEvery,
 		PublishAfter:      *publishAfter,
-		FlushAfter:        *flushAfter,
 		Store:             st,
 		PersistExtensions: *persistExts,
 		WALBacklogBytes:   *walBacklog,

@@ -82,7 +82,7 @@ type Metrics struct {
 	// Snapshot lifecycle.
 	epoch        atomic.Uint64
 	publishes    atomic.Int64
-	publishNs    atomic.Int64  // cumulative publish (flush+freeze+clone+swap) time
+	publishNs    atomic.Int64  // cumulative publish (freeze+clone+swap) time
 	snapshotPair atomic.Int64  // |V(G)| of the live snapshot
 	snapshotSize atomic.Int64  // |G| of the live snapshot
 	published    atomic.Uint64 // write-clock value captured at last publish
@@ -90,7 +90,6 @@ type Metrics struct {
 	// Publish phases. The two graph.SnapshotStats counters are copied
 	// absolute from the maintained graph after every publish (under the
 	// write lock), like the maintenance counters below.
-	publishFlushNs     atomic.Int64 // draining the change feed before the build
 	publishFreezeNs    atomic.Int64 // Engine.Snapshot: Freeze or Shard
 	publishDirtyNodes  atomic.Int64 // nodes whose adjacency the builds re-read
 	publishSharedParts atomic.Int64 // shards (or the whole CSR) carried over whole
@@ -103,10 +102,9 @@ type Metrics struct {
 	updates atomic.Int64  // effective updates applied
 
 	// View maintenance. Snapshots of view.MaintStats, copied from the
-	// maintained views after every feed flush (under the write lock) so
-	// the render path stays lock-free. Stored absolute, rendered as
+	// maintained views after every applied batch (under the write lock)
+	// so the render path stays lock-free. Stored absolute, rendered as
 	// counters.
-	feedBacklog      atomic.Int64 // coalesced deltas buffered, not yet flushed
 	maintRecomputes  atomic.Int64
 	maintDeltaProps  atomic.Int64
 	maintSkips       atomic.Int64
@@ -224,8 +222,7 @@ func (m *Metrics) WriteText(w io.Writer) {
 	gauge("gvserve_snapshot_pairs", "Total match pairs |V(G)| cached in the live snapshot.", m.snapshotPair.Load())
 	gauge("gvserve_snapshot_graph_size", "Graph size |V|+|E| of the live snapshot.", m.snapshotSize.Load())
 	counter("gvserve_publish_total", "Snapshots published since start.", m.publishes.Load())
-	counter("gvserve_publish_ns_total", "Cumulative publish time (feed flush, snapshot build, extension clone, swap) in nanoseconds.", m.publishNs.Load())
-	counter("gvserve_publish_flush_ns_total", "Cumulative time publishes spent draining the change feed, in nanoseconds.", m.publishFlushNs.Load())
+	counter("gvserve_publish_ns_total", "Cumulative publish time (snapshot build, extension clone, swap) in nanoseconds.", m.publishNs.Load())
 	counter("gvserve_publish_freeze_ns_total", "Cumulative time publishes spent building the immutable graph snapshot, in nanoseconds.", m.publishFreezeNs.Load())
 	counter("gvserve_publish_dirty_nodes_total", "Nodes whose adjacency lists snapshot builds read from the live graph instead of copying from the previous snapshot.", m.publishDirtyNodes.Load())
 	counter("gvserve_publish_shards_shared_total", "Shards (the whole CSR when unsharded) snapshot builds carried over from the previous snapshot untouched.", m.publishSharedParts.Load())
@@ -233,7 +230,6 @@ func (m *Metrics) WriteText(w io.Writer) {
 	gauge("gvserve_maintained_version", "Write clock: effective updates committed to the maintained views.", int64(m.version.Load()))
 	gauge("gvserve_pending_updates", "Committed updates not yet visible in the live snapshot.", int64(m.version.Load()-m.published.Load()))
 	counter("gvserve_updates_applied_total", "Effective edge updates applied.", m.updates.Load())
-	gauge("gvserve_feed_backlog", "Coalesced deltas buffered in the change feed, not yet propagated.", m.feedBacklog.Load())
 	counter("gvserve_maintenance_batches_total", "Coalesced update batches propagated into the maintained views.", m.maintBatches.Load())
 	counter("gvserve_maintenance_recompute_total", "View refreshes that fell back to full rematerialization.", m.maintRecomputes.Load())
 	counter("gvserve_maintenance_delta_total", "View refreshes served by affected-area delta propagation.", m.maintDeltaProps.Load())

@@ -27,6 +27,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -65,16 +66,8 @@ type Config struct {
 	PublishEvery time.Duration
 	// PublishAfter publishes as soon as at least this many effective
 	// updates accumulated since the live snapshot. <= 0 disables
-	// threshold-driven publishing. Buffered (not yet flushed) feed
-	// deltas count toward the threshold.
+	// threshold-driven publishing.
 	PublishAfter int
-	// FlushAfter buffers incoming edge updates in a coalescing change
-	// feed and only propagates them into the maintained views once the
-	// coalesced backlog reaches this many deltas (insert+delete of the
-	// same edge cancels before any view sees it). <= 0 flushes on every
-	// update batch. Publishing always flushes first, so snapshots never
-	// miss buffered deltas.
-	FlushAfter int
 	// Store is the durable graph + view store backing this server: every
 	// update batch is appended to its write-ahead log before the write
 	// is acknowledged, and every published snapshot is checkpointed into
@@ -135,12 +128,9 @@ type Server struct {
 	cur atomic.Pointer[Snapshot]
 
 	// mu serializes the write side: edge updates into the maintained
-	// views, feed flushes and snapshot publication. The read side never
-	// touches it. (Feed.Submit and Feed.Backlog are internally
-	// synchronized; only Flush requires mu.)
+	// views and snapshot publication. The read side never touches it.
 	mu    sync.Mutex
 	maint *gv.Maintained
-	feed  *gv.Feed
 
 	// store is the durable backing store (nil when ephemeral); set once
 	// in NewServer. recovering is true from boot until Recover finishes
@@ -195,7 +185,6 @@ func NewServer(g *gv.Graph, vs *gv.ViewSet, cfg Config) (*Server, error) {
 		cfg:     cfg,
 		eng:     eng,
 		maint:   maint,
-		feed:    gv.NewFeed(maint),
 		store:   cfg.Store,
 		metrics: newMetrics(routeNames),
 		kick:    make(chan struct{}, 1),
@@ -255,11 +244,14 @@ func (s *Server) Close() {
 // Current returns the live snapshot. Never nil after NewServer.
 func (s *Server) Current() *Snapshot { return s.cur.Load() }
 
-// Pending reports how many updates the live snapshot does not yet
-// reflect: committed-but-unpublished effective updates plus coalesced
-// deltas still buffered in the change feed.
+// Pending reports how many committed effective updates the live
+// snapshot does not yet reflect. The snapshot is loaded before the write
+// clock: a publish landing between the two loads then only makes the
+// answer stale, never lets the snapshot's version overtake the clock
+// and wrap the difference.
 func (s *Server) Pending() uint64 {
-	return uint64(s.feed.Backlog()) + s.maint.Version() - s.cur.Load().Version
+	published := s.cur.Load().Version
+	return s.maint.Version() - published
 }
 
 // Metrics exposes the instrument registry (for tests and load drivers).
@@ -276,14 +268,10 @@ func (s *Server) Publish() *Snapshot {
 }
 
 // publishLocked builds and swaps the snapshot; the caller holds s.mu.
-// Buffered feed deltas are flushed first, so a snapshot always reflects
-// every update submitted before the publish.
+// Every acknowledged update is already applied, so a snapshot reflects
+// every update acknowledged before the publish.
 func (s *Server) publishLocked() *Snapshot {
 	start := time.Now()
-	if s.feed.Backlog() > 0 {
-		s.flushFeedLocked()
-	}
-	flushed := time.Now()
 	// Engine ctx is Background, so Snapshot cannot fail here; the guard
 	// keeps the invariant visible if a cancellable engine ever arrives
 	// (withRecovery turns it into a 500 on the request that hit it).
@@ -291,8 +279,7 @@ func (s *Server) publishLocked() *Snapshot {
 	if err != nil {
 		panic("serve: snapshot build failed: " + err.Error())
 	}
-	s.metrics.publishFlushNs.Add(int64(flushed.Sub(start)))
-	s.metrics.publishFreezeNs.Add(int64(time.Since(flushed)))
+	s.metrics.publishFreezeNs.Add(int64(time.Since(start)))
 	st := s.maint.G.SnapshotStats()
 	s.metrics.publishDirtyNodes.Store(int64(st.DirtyNodes))
 	s.metrics.publishSharedParts.Store(int64(st.SharedParts))
@@ -321,11 +308,11 @@ func (s *Server) publishLocked() *Snapshot {
 
 // checkpointLocked writes the just-published snapshot into the durable
 // store, compacting the WAL: every logged record is reflected in the
-// snapshot because publishLocked flushes the feed first. Skipped while
-// recovering (the WAL tail is still the source of truth) and when the
-// server runs ephemeral. A checkpoint failure is logged and counted but
-// never fatal — the previous checkpoint plus the full WAL still recover
-// this state.
+// snapshot because ApplyUpdates applies each batch under s.mu right
+// after logging it. Skipped while recovering (the WAL tail is still the
+// source of truth) and when the server runs ephemeral. A checkpoint
+// failure is logged and counted but never fatal — the previous
+// checkpoint plus the full WAL still recover this state.
 func (s *Server) checkpointLocked(snap *Snapshot) {
 	if s.store == nil || s.recovering.Load() {
 		return
@@ -346,9 +333,9 @@ func (s *Server) checkpointLocked(snap *Snapshot) {
 	s.metrics.checkpointNs.Add(int64(time.Since(start)))
 }
 
-// Recover replays the store's WAL tail through the coalescing feed and
-// delta propagation into the maintained views, then publishes (and
-// checkpoints) the recovered state and opens the application routes.
+// Recover replays the store's WAL tail, one coalesced batch per record,
+// through delta propagation into the maintained views, then publishes
+// (and checkpoints) the recovered state and opens the application routes.
 // It returns the number of WAL records and edge updates replayed.
 // No-op unless the server booted recovering. Updates whose node ids are
 // out of range for the loaded graph — a WAL paired with the wrong
@@ -371,8 +358,7 @@ func (s *Server) Recover() (records, updates int) {
 			}
 		}
 		s.mu.Lock()
-		s.feed.Submit(in...)
-		s.flushFeedLocked()
+		s.applyLocked(in)
 		s.mu.Unlock()
 		updates += len(in)
 	}
@@ -420,15 +406,14 @@ func (s *Server) publisher() {
 }
 
 // ApplyUpdates appends the batch to the write-ahead log (when a store
-// backs the server), then submits it to the coalescing change feed and,
-// when FlushAfter is disabled or the coalesced backlog reached it,
-// flushes the feed into the maintained views. It returns the number of
-// updates that changed the graph in this call (0 while buffering) and
-// the write clock. The ack contract is append-before-apply: if the WAL
-// append fails, the batch is NOT applied in memory — the error returns
-// with the in-memory and durable states still in agreement, and the
-// caller rejects the write. It never publishes by itself, but buffered
-// deltas count toward the PublishAfter threshold.
+// backs the server), then applies it to the maintained views as one
+// coalesced batch (insert+delete of the same edge cancels before any
+// view sees it). It returns the number of updates that changed the
+// graph and the write clock. The ack contract is append-before-apply:
+// if the WAL append fails, the batch is NOT applied in memory — the
+// error returns with the in-memory and durable states still in
+// agreement, and the caller rejects the write. It never publishes by
+// itself; the publish hook kicks the publisher past PublishAfter.
 func (s *Server) ApplyUpdates(updates []gv.EdgeUpdate) (applied int, version uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -437,36 +422,16 @@ func (s *Server) ApplyUpdates(updates []gv.EdgeUpdate) (applied int, version uin
 			return 0, s.maint.Version(), err
 		}
 	}
-	backlog := s.feed.Submit(updates...)
-	if s.cfg.FlushAfter <= 0 || backlog >= s.cfg.FlushAfter {
-		applied = s.flushFeedLocked()
-	} else {
-		s.metrics.feedBacklog.Store(int64(backlog))
-		// The publish hook only fires on flush; while buffering, the
-		// threshold check on total pending deltas lives here.
-		if s.cfg.PublishAfter > 0 && s.pendingLocked() >= uint64(s.cfg.PublishAfter) {
-			select {
-			case s.kick <- struct{}{}:
-			default:
-			}
-		}
-	}
-	return applied, s.maint.Version(), nil
+	return s.applyLocked(updates), s.maint.Version(), nil
 }
 
-// flushFeedLocked drains the change feed into the maintained views and
-// refreshes the maintenance metrics; the caller holds s.mu.
-func (s *Server) flushFeedLocked() int {
-	applied := s.feed.Flush()
+// applyLocked applies one batch to the maintained views and refreshes
+// the maintenance metrics; the caller holds s.mu.
+func (s *Server) applyLocked(updates []gv.EdgeUpdate) int {
+	applied := s.maint.ApplyBatch(updates)
 	s.metrics.updates.Add(int64(applied))
-	s.metrics.feedBacklog.Store(0)
 	s.syncMaintMetricsLocked()
 	return applied
-}
-
-// pendingLocked is Pending for callers already holding s.mu.
-func (s *Server) pendingLocked() uint64 {
-	return uint64(s.feed.Backlog()) + s.maint.Version() - s.cur.Load().Version
 }
 
 // syncMaintMetricsLocked copies the maintenance counters (owned by the
@@ -618,13 +583,12 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// updateResponse is the JSON shape of /update and /publish results.
+// updateResponse is the JSON shape of /update results.
 type updateResponse struct {
-	Applied  int    `json:"applied"`
-	Buffered int    `json:"buffered,omitempty"`
-	Version  uint64 `json:"version"`
-	Pending  uint64 `json:"pending"`
-	Epoch    uint64 `json:"epoch"`
+	Applied int    `json:"applied"`
+	Version uint64 `json:"version"`
+	Pending uint64 `json:"pending"`
+	Epoch   uint64 `json:"epoch"`
 }
 
 // handleUpdate applies a batch of edge updates (text body, one
@@ -636,7 +600,11 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	updates, err := parseUpdates(io.LimitReader(r.Body, maxBodyBytes), s.maint.G.NumNodes())
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	updates, err := parseUpdates(bytes.NewReader(body), s.maint.G.NumNodes())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -656,11 +624,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := s.cur.Load()
 	writeJSON(w, http.StatusOK, &updateResponse{
-		Applied:  applied,
-		Buffered: s.feed.Backlog(),
-		Version:  version,
-		Pending:  s.Pending(),
-		Epoch:    snap.Epoch,
+		Applied: applied,
+		Version: version,
+		Pending: s.Pending(),
+		Epoch:   snap.Epoch,
 	})
 }
 
@@ -753,9 +720,8 @@ func (s *Server) readPattern(w http.ResponseWriter, r *http.Request) (*gv.Patter
 		writeError(w, http.StatusMethodNotAllowed, "POST a pattern in the DSL")
 		return nil, false
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	body, ok := readBody(w, r)
+	if !ok {
 		return nil, false
 	}
 	q, err := gv.ParsePattern(string(body))
@@ -768,6 +734,23 @@ func (s *Server) readPattern(w http.ResponseWriter, r *http.Request) (*gv.Patter
 		return nil, false
 	}
 	return q, true
+}
+
+// readBody reads the whole request body, answering 413 itself when it
+// exceeds maxBodyBytes — a body cut at the limit could still parse, and
+// answer or apply something the client never sent.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+		} else {
+			writeError(w, http.StatusBadRequest, err.Error())
+		}
+		return nil, false
+	}
+	return body, true
 }
 
 // parseStrategy resolves ?strategy= (default minimal), writing the

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -366,78 +367,67 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestFlushAfterBuffersAndCoalesces: with FlushAfter set, updates park
-// in the change feed (applied=0, buffered>0, write clock unmoved),
-// cancelling pairs annihilate before any view sees them, and a publish
-// drains the backlog so the snapshot still reflects every submitted
-// update.
+// TestFlushAfterBuffersAndCoalesces: opposing updates of one edge
+// within a single /update body cancel before any view sees them — the
+// body applies as one coalesced batch, in one maintenance pass, and the
+// published snapshot reflects exactly the net effect.
 func TestFlushAfterBuffersAndCoalesces(t *testing.T) {
-	s, hs, q := newTestServer(t, Config{FlushAfter: 8})
+	s, hs, q := newTestServer(t, Config{})
+	resp, err := http.Post(hs.URL+"/update", "text/plain", strings.NewReader("add 1 5\ndel 1 5\nadd 2 6\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ur updateResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ur); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if ur.Applied != 1 || ur.Version != 1 || ur.Pending != 1 {
+		t.Fatalf("update response = %+v, want applied 1 version 1 pending 1 (net add 2→6 only)", ur)
+	}
+	if s.maint.Stats.CoalescedAway < 1 {
+		t.Fatalf("CoalescedAway = %d, want ≥ 1 for the cancelled add/del pair", s.maint.Stats.CoalescedAway)
+	}
+	if s.maint.Stats.Batches != 1 {
+		t.Fatalf("maintenance batches = %d, want exactly 1 for one /update body", s.maint.Stats.Batches)
+	}
+	s.Publish()
+	if got := postQuery(t, hs.URL+"/query", q, http.StatusOK); got.Size != 2 {
+		t.Fatalf("published answer size = %d, want 2", got.Size)
+	}
+}
 
-	post := func(body string) updateResponse {
-		t.Helper()
-		resp, err := http.Post(hs.URL+"/update", "text/plain", strings.NewReader(body))
+// TestFlushAfterThresholdFlushes: every ApplyUpdates applies at once —
+// nothing is held back for a later flush — so the write clock advances
+// by the applied count and Pending is exactly the clock minus the
+// published version.
+func TestFlushAfterThresholdFlushes(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{})
+	batches := [][]gv.EdgeUpdate{
+		{{From: 1, To: 5}},
+		{{From: 2, To: 6}, {From: 3, To: 7}},
+	}
+	var want uint64
+	for _, b := range batches {
+		applied, version, err := s.ApplyUpdates(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		var ur updateResponse
-		if err := json.NewDecoder(resp.Body).Decode(&ur); err != nil {
-			t.Fatal(err)
+		want += uint64(len(b))
+		if applied != len(b) || version != want {
+			t.Fatalf("ApplyUpdates(%v) = applied %d version %d, want %d/%d", b, applied, version, len(b), want)
 		}
-		return ur
-	}
-
-	// add 1→5 then cancel it: the feed coalesces to an empty net batch.
-	ur := post("add 1 5\n")
-	if ur.Applied != 0 || ur.Buffered != 1 || ur.Version != 0 || ur.Pending != 1 {
-		t.Fatalf("buffered add = %+v, want applied 0 buffered 1 version 0 pending 1", ur)
-	}
-	ur = post("del 1 5\n")
-	if ur.Applied != 0 || ur.Buffered != 1 {
-		t.Fatalf("cancel still keyed = %+v, want applied 0 buffered 1", ur)
-	}
-	if s.maint.Stats.Batches != 0 {
-		t.Fatalf("views refreshed while buffering: %d batches", s.maint.Stats.Batches)
-	}
-
-	// A real update plus the cancelled one: publish flushes the feed
-	// first, so the snapshot picks up exactly the net add 2→6.
-	post("add 2 6\n")
-	snap := s.Publish()
-	if snap.Version != 1 {
-		t.Fatalf("snapshot version = %d, want 1 (net adds only)", snap.Version)
-	}
-	if got := postQuery(t, hs.URL+"/query", q, http.StatusOK); got.Size != 2 {
-		t.Fatalf("post-flush answer size = %d, want 2", got.Size)
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d after publish, want 0", s.Pending())
-	}
-	if s.maint.Stats.CoalescedAway == 0 {
-		t.Fatal("coalescing should have cancelled the add/del pair")
+		if p := s.Pending(); p != version-s.Current().Version {
+			t.Fatalf("Pending = %d, want version %d minus published %d", p, version, s.Current().Version)
+		}
 	}
 }
 
-// TestFlushAfterThresholdFlushes: the backlog crossing FlushAfter
-// triggers the flush inside ApplyUpdates itself.
-func TestFlushAfterThresholdFlushes(t *testing.T) {
-	s, _, _ := newTestServer(t, Config{FlushAfter: 2})
-	applied, _, _ := s.ApplyUpdates([]gv.EdgeUpdate{{From: 1, To: 5}})
-	if applied != 0 || s.feed.Backlog() != 1 {
-		t.Fatalf("below threshold: applied %d backlog %d", applied, s.feed.Backlog())
-	}
-	applied, version, _ := s.ApplyUpdates([]gv.EdgeUpdate{{From: 2, To: 6}})
-	if applied != 2 || version != 2 || s.feed.Backlog() != 0 {
-		t.Fatalf("at threshold: applied %d version %d backlog %d, want 2/2/0", applied, version, s.feed.Backlog())
-	}
-}
-
-// TestPublishAfterCountsBufferedDeltas: threshold publishing must fire
-// on buffered (unflushed) deltas too — otherwise a large FlushAfter
-// would starve PublishAfter.
+// TestPublishAfterCountsBufferedDeltas: threshold publishing fires on
+// the deltas of the /update that crossed PublishAfter, and the
+// published snapshot carries all of them.
 func TestPublishAfterCountsBufferedDeltas(t *testing.T) {
-	s, hs, _ := newTestServer(t, Config{PublishAfter: 2, FlushAfter: 100})
+	s, hs, _ := newTestServer(t, Config{PublishAfter: 2})
 	resp, err := http.Post(hs.URL+"/update", "text/plain", strings.NewReader("add 1 5\nadd 2 6\n"))
 	if err != nil {
 		t.Fatal(err)
@@ -452,6 +442,83 @@ func TestPublishAfterCountsBufferedDeltas(t *testing.T) {
 	}
 	if s.Current().Version != 2 {
 		t.Fatalf("auto-published snapshot version = %d, want 2", s.Current().Version)
+	}
+}
+
+// TestPendingNeverWraps: Pending read concurrently with a writer that
+// applies and publishes in a loop must never exceed the write clock. A
+// publish landing between its two loads must not let the snapshot's
+// version overtake the clock and wrap the unsigned difference to ~2⁶⁴,
+// which would reach the /update pending field and fire the background
+// publisher's threshold checks spuriously.
+func TestPendingNeverWraps(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{})
+	deadline := time.Now().Add(2 * time.Second)
+	var wrapped atomic.Uint64
+	running := func() bool { return wrapped.Load() == 0 && time.Now().Before(deadline) }
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; running(); i++ {
+			if _, _, err := s.ApplyUpdates([]gv.EdgeUpdate{{From: 1, To: 5, Delete: i%2 == 1}}); err != nil {
+				t.Error(err)
+				return
+			}
+			s.Publish()
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for running() {
+				if p := s.Pending(); p > s.maint.Version() {
+					wrapped.Store(p)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if p := wrapped.Load(); p != 0 {
+		t.Fatalf("Pending = %d: wrapped past the write clock", p)
+	}
+}
+
+// TestOversizeBodyRejected: a body over maxBodyBytes is answered 413
+// with a JSON error, never cut at the limit and parsed — the cut prefix
+// of an /update is a valid batch here (a line boundary falls exactly on
+// the limit), and of a /query a valid pattern. The write clock and the
+// WAL must not move.
+func TestOversizeBodyRejected(t *testing.T) {
+	s, st, q := newDurableServer(t, t.TempDir(), Config{})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	line := "add 1 5\n"
+	update := strings.Repeat(line, maxBodyBytes/len(line)+1)
+	query := q + strings.Repeat("\n", maxBodyBytes) + "garbage"
+	version, walSize := s.maint.Version(), st.WALSize()
+	for _, req := range []struct{ path, body string }{
+		{"/update", update},
+		{"/query", query},
+		{"/match", query},
+	} {
+		resp, err := http.Post(hs.URL+req.path, "text/plain", strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil || body.Error == "" {
+			t.Fatalf("%s with a %d-byte body: status %d error %q (%v), want 413 with a JSON error",
+				req.path, len(req.body), resp.StatusCode, body.Error, err)
+		}
+		if v, w := s.maint.Version(), st.WALSize(); v != version || w != walSize {
+			t.Fatalf("%s: oversize body moved the write clock %d → %d or the WAL %d → %d bytes", req.path, version, v, walSize, w)
+		}
 	}
 }
 
@@ -487,7 +554,6 @@ func TestMaintenanceMetricsExposition(t *testing.T) {
 			defer resp.Body.Close()
 			text := readAll(t, resp)
 			for _, want := range append(mode.want,
-				"gvserve_feed_backlog 0",
 				"gvserve_maintenance_coalesced_total 0",
 			) {
 				if !strings.Contains(text, want) {

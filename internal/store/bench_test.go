@@ -1,8 +1,9 @@
 package store
 
-// WAL and recovery micro-benchmarks feeding make bench-wal /
-// BENCH_PR9.json: append cost per record under each sync policy,
-// recovery decode+replay throughput, and snapshot codec throughput.
+// WAL and recovery micro-benchmarks (make bench; WALAppend and
+// RecoveryReplay also run once each in make bench-smoke): append cost per
+// record under each sync policy, recovery decode+replay throughput, and
+// checkpoint cost.
 
 import (
 	"fmt"
@@ -128,8 +129,8 @@ func BenchmarkStoreCheckpointFull(b *testing.B) {
 // BenchmarkStoreCheckpointDirtyFraction measures the incremental
 // checkpoint path: an 8-way sharded backend where each cycle dirties a
 // varying number of shards via real WAL appends before checkpointing.
-// bytes/op drops roughly linearly with the clean fraction — the number
-// BENCH_PR10.json tracks against the full-rewrite bound above.
+// bytes/op drops roughly linearly with the clean fraction, against the
+// full-rewrite bound above.
 func BenchmarkStoreCheckpointDirtyFraction(b *testing.B) {
 	const k = 8
 	sh := graph.Shard(benchMutable(b, 50_000), k)
@@ -169,8 +170,8 @@ func BenchmarkStoreCheckpointDirtyFraction(b *testing.B) {
 
 // BenchmarkRecoveryExtensions compares the two clean-tail boot paths: a
 // restore that adopts the checkpoint's persisted extensions versus a
-// rematerialization from scratch — the "recovery time with vs without
-// persisted extensions" number in BENCH_PR10.json.
+// rematerialization from scratch — recovery time with vs without
+// persisted extensions.
 func BenchmarkRecoveryExtensions(b *testing.B) {
 	g := benchMutable(b, 2_000)
 	vs := crashViews()

@@ -2,11 +2,11 @@ package view
 
 // The change-feed stage between graph updates and per-view refresh:
 // Coalesce collapses an update stream to its net effect per edge, and
-// Feed buffers submitted updates so a serving layer can batch many
-// small writes into one propagation pass (ROADMAP "Streaming
-// maintenance at write-heavy scale"). internal/serve owns a Feed per
-// server and flushes it on snapshot publish or when the coalesced
-// backlog crosses its threshold.
+// Feed buffers submitted updates so a caller can batch many small
+// writes into one propagation pass. internal/serve needs no buffer: it
+// applies each logged update batch at once with Maintained.ApplyBatch,
+// which coalesces the same way; the benchmark's trace mirror replays
+// the server's writes through a Feed.
 
 import "sync"
 
@@ -42,8 +42,7 @@ func Coalesce(updates []EdgeUpdate) (net []EdgeUpdate, dropped int) {
 // arrive, so propagation cost is paid per flush rather than per write.
 // Submit and Backlog are safe for concurrent use; Flush applies the
 // buffered batch to the Maintained and must be serialized with every
-// other writer of it (internal/serve calls all three under its server
-// mutex anyway).
+// other writer of it.
 type Feed struct {
 	m *Maintained
 
