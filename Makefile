@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test loc race vet analyze staticcheck govulncheck lint fmt-check docs-lint bench bench-smoke bench-scc bench-backends fuzz-smoke cover ci
+.PHONY: build test loc race vet analyze staticcheck govulncheck lint fmt-check docs-lint bench bench-smoke bench-backends fuzz-smoke cover ci
 
 build:
 	$(GO) build ./...
@@ -18,8 +18,9 @@ loc:
 	@find ./internal/analysis -path '*/testdata/*' -name '*.go' -not -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1, "of them internal/analysis/*/testdata fixtures"}'
 	@find ./bench -name '*.go' -not -name '*_test.go' | xargs wc -l | tail -1 | awk '{print $$1, "inside bench/"}'
 
-# Race tests pin GOMAXPROCS>=4 so the SCC-parallel fixpoint waves truly
-# interleave even when the host (or a dev container) exposes one CPU.
+# Race tests pin GOMAXPROCS>=4 so parallel view materialization,
+# maintenance and shard-parallel candidate seeding truly interleave even
+# when the host (or a dev container) exposes one CPU.
 race:
 	GOMAXPROCS=4 $(GO) test -race ./...
 
@@ -83,25 +84,19 @@ bench:
 	$(GO) test -run 'BenchmarkNone' -bench . -benchmem ./...
 
 # The CI smoke subset (CI runs exactly this target): one iteration of
-# the Fig. 8(a) figure runner and the parallel materialize/answer
-# sweeps; the SCC-parallel fixpoint and graph-backend sweeps at
-# GOMAXPROCS=4, where the fixpoint waves and shard-parallel seeding
-# interleave even on a one-CPU host; the WAL append and recovery replay
-# kernels; plus the snapshot-build kernel (publish ns and B/op vs dirty
-# fraction at 50k/200k, beside the from-scratch build it replaces).
+# the Fig. 8(a) figure runner, the parallel materialize sweep and the
+# necklace MatchJoin kernel; the graph-backend sweep at GOMAXPROCS=4,
+# where shard-parallel seeding interleaves even on a one-CPU host; the
+# WAL append and recovery replay kernels; plus the snapshot-build kernel
+# (publish ns and B/op vs dirty fraction at 50k/200k, beside the
+# from-scratch build it replaces).
 bench-smoke:
 	$(GO) test -run 'BenchmarkNone' -bench 'Fig8a' -benchtime 1x ./...
-	$(GO) test -run 'BenchmarkNone' -bench 'MaterializeParallel|AnswerParallel' -benchtime 1x ./...
-	GOMAXPROCS=4 $(GO) test -run 'BenchmarkNone' -bench 'MatchJoinSCCParallel' -benchtime 1x ./...
+	$(GO) test -run 'BenchmarkNone' -bench 'MaterializeParallel' -benchtime 1x ./...
+	$(GO) test -run 'BenchmarkNone' -bench 'MatchJoin/necklace' -benchtime 1x .
 	GOMAXPROCS=4 $(GO) test -run 'BenchmarkNone' -bench 'SimFrozen|AnswerFrozen|AnswerSharded|ShardSplit' -benchtime 1x ./...
 	$(GO) test -run 'BenchmarkNone' -bench 'WALAppend|RecoveryReplay' -benchtime 1x ./internal/store
 	$(GO) test -run 'BenchmarkNone' -bench 'PublishDirtyFraction|PublishFromScratch' -benchtime 3x -benchmem ./internal/graph
-
-# The SCC-parallel MatchJoin fixpoint worker sweep on multi-SCC necklace
-# patterns. GOMAXPROCS=4 makes the speedup observable in CI even though
-# dev containers may expose a single CPU.
-bench-scc:
-	GOMAXPROCS=4 $(GO) test -run 'BenchmarkNone' -bench 'MatchJoinSCCParallel' -benchmem ./...
 
 # Graph-backend sweep over mutable | shards=k: direct simulation (the
 # mutex-free label partition on the seeding loop), the

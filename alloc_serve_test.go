@@ -12,6 +12,7 @@ package graphviews_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	gv "graphviews"
@@ -21,26 +22,40 @@ import (
 // per-request serving path WithRequest(ctx) → Answer on a warmed pool
 // (measured ~294 allocs/op — the containment working state and the
 // Result dominate; the request handle adds only the engine copy, so
-// the measurement matches plain Answer's within one object).
+// the measurement matches plain Answer's within one object). It runs at
+// parallelism 1 and at the gvserve default, parallelism 0 = GOMAXPROCS
+// (pinned to at least 2), under the same bound: a query runs on its
+// request's goroutine whatever the engine's worker pool.
 func TestSteadyStateServeQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not comparable under -race")
 	}
-	eng, _, _, q, x := allocWorkload(t)
-	ctx := context.Background()
-	// Warm the request path itself once.
-	if _, _, _, err := eng.WithRequest(ctx).Answer(q, x, gv.UseAll); err != nil {
-		t.Fatal(err)
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		req := eng.WithRequest(ctx)
-		if _, _, _, err := req.Answer(q, x, gv.UseAll); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("WithRequest+Answer steady state: %.1f allocs/op", allocs)
-	const bound = 620
-	if allocs > bound {
-		t.Fatalf("serve /query steady state allocates %.1f objects/op, bound %d", allocs, bound)
+	eng1, _, _, q, x := allocWorkload(t)
+	eng0 := gv.NewEngine(gv.WithParallelism(0))
+	for _, c := range []struct {
+		name string
+		eng  *gv.Engine
+	}{{"parallelism=1", eng1}, {"parallelism=0", eng0}} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			// Warm the request path itself once.
+			if _, _, _, err := c.eng.WithRequest(ctx).Answer(q, x, gv.UseAll); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				req := c.eng.WithRequest(ctx)
+				if _, _, _, err := req.Answer(q, x, gv.UseAll); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("WithRequest+Answer steady state (workers %d): %.1f allocs/op", c.eng.Parallelism(), allocs)
+			const bound = 620
+			if allocs > bound {
+				t.Fatalf("serve /query steady state allocates %.1f objects/op, bound %d", allocs, bound)
+			}
+		})
 	}
 }

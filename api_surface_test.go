@@ -83,7 +83,7 @@ func TestFacadeSurface(t *testing.T) {
 		t.Fatalf("AmazonViews card = %d", vs.Card())
 	}
 
-	// Necklace workloads (the SCC-parallel fixpoint stress generator).
+	// Necklace workloads (the multi-SCC fixpoint stress generator).
 	rng := rand.New(rand.NewSource(1))
 	nq, nvs := gv.NecklaceQuery(rng, 3, 1)
 	if nq.IsDAG() {

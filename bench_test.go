@@ -129,12 +129,37 @@ func BenchmarkMinimum(b *testing.B) {
 	}
 }
 
+// BenchmarkMatchJoin times MatchJoin on the micro workload (a glued
+// YouTube query, transient scratch) and on multi-SCC necklace patterns —
+// k directed cycles chained by bridges — through a pooled Engine.
 func BenchmarkMatchJoin(b *testing.B) {
-	_, _, x, q, l := microWorkload()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.MatchJoin(q, x, l, core.Options{})
+	b.Run("micro", func(b *testing.B) {
+		_, _, x, q, l := microWorkload()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			core.MatchJoin(q, x, l, core.Options{})
+		}
+	})
+	for _, k := range []int{4, 8} {
+		b.Run(fmt.Sprintf("necklace/cycles=%d", k), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(100 + k)))
+			q, vs := gv.NecklaceQuery(rng, k, 1)
+			g := gv.NecklaceGraph(rng, q, 60_000, 340_000)
+			l, ok, err := core.Contain(q, vs, core.Options{})
+			if err != nil || !ok {
+				b.Fatalf("necklace workload not contained: %v %v", ok, err)
+			}
+			x := gv.Materialize(g, vs)
+			eng := gv.NewEngine()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := eng.MatchJoin(q, x, l); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -171,56 +196,6 @@ func BenchmarkMaterializeParallel(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := eng.Materialize(wl.g, wl.vs); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAnswerParallel sweeps Engine.Answer worker counts over glued
-// queries against pre-materialized YouTube-like extensions.
-func BenchmarkAnswerParallel(b *testing.B) {
-	_, _, x, q, _ := microWorkload()
-	for _, w := range workerSweep {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			eng := gv.NewEngine(gv.WithParallelism(w))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := eng.Answer(q, x, gv.UseAll); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkMatchJoinSCCParallel sweeps the SCC-parallel MatchJoin
-// fixpoint worker counts on multi-SCC necklace patterns: k directed
-// cycles chained by bridges, whose condensation waves give each worker an
-// independent component cascade. The 1-worker point runs the same wave
-// engine sequentially; compare against BenchmarkMatchJoin for the
-// classic global cascade. Speedup is only observable on multi-core
-// hosts (`make bench-scc` pins GOMAXPROCS=4 for CI).
-func BenchmarkMatchJoinSCCParallel(b *testing.B) {
-	for _, k := range []int{4, 8} {
-		rng := rand.New(rand.NewSource(int64(100 + k)))
-		q, vs := gv.NecklaceQuery(rng, k, 1)
-		g := gv.NecklaceGraph(rng, q, 60_000, 340_000)
-		l, ok, err := core.Contain(q, vs, core.Options{})
-		if err != nil || !ok {
-			b.Fatalf("necklace workload not contained: %v %v", ok, err)
-		}
-		x := gv.Materialize(g, vs)
-		for _, w := range workerSweep {
-			b.Run(fmt.Sprintf("cycles=%d/workers=%d", k, w), func(b *testing.B) {
-				eng := gv.NewEngine(gv.WithParallelism(w))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := eng.MatchJoin(q, x, l); err != nil {
 						b.Fatal(err)
 					}
 				}

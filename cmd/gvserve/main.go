@@ -113,7 +113,7 @@ func main() {
 		labels       = flag.Int("labels", 16, "label count for -dataset uniform")
 		seed         = flag.Int64("seed", 1, "generator seed (-dataset)")
 		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", 0, "engine worker pool bound (<=0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "worker pool bound for view materialization and maintenance (<=0 = GOMAXPROCS); queries run one thread each")
 		shards       = flag.Int("shards", 1, "snapshot shard count (>=2 fixed, <=0 auto heuristic, 1 unsharded)")
 		maxInFlight  = flag.Int("max-inflight", 64, "admission control: max concurrent requests (<=0 unbounded)")
 		timeout      = flag.Duration("timeout", 5*time.Second, "per-request deadline (<=0 none)")

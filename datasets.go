@@ -70,7 +70,7 @@ func RandomPattern(rng *rand.Rand, nv, ne, k int, cyclic bool) *Pattern {
 // NecklaceQuery builds a k-bead "necklace" query — k directed cycles
 // chained by bridge edges of the given bound — plus a view set containing
 // it by construction. Its pattern condenses into many SCCs, which makes
-// it the stress workload of the SCC-parallel MatchJoin fixpoint.
+// it the multi-SCC stress workload of the MatchJoin fixpoint.
 func NecklaceQuery(rng *rand.Rand, k int, bridgeBound Bound) (*Pattern, *ViewSet) {
 	return generator.Necklace(rng, k, bridgeBound)
 }

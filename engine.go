@@ -2,18 +2,19 @@ package graphviews
 
 // Engine is the concurrent answer-from-views pipeline: the same
 // algorithms as the package-level Materialize / Contains / MatchJoin /
-// Answer entry points, with the parallel phases — one simulation per
-// view, one containment match per view, one seeding pass per query edge,
-// the distance-recording enumeration of bounded views, and the MatchJoin
-// removal fixpoint itself, decomposed into reverse-topological waves of
-// the pattern's SCC condensation — fanned out over a bounded worker
-// pool, and with cooperative cancellation through a context.
+// Answer entry points, with the view-side phases — one simulation per
+// view, shard-parallel candidate seeding, the distance-recording
+// enumeration of bounded views, and maintenance — fanned out over a
+// bounded worker pool, and with cooperative cancellation through a
+// context. Query-time calls (Contains, MatchJoin, Answer) run on the
+// caller's goroutine: a server's parallelism is across its requests.
 //
 // Every Engine method calls the same internal function as its
 // package-level counterpart: the engine fills that function's Options
-// (context, worker bound, scratch pool), the package-level wrapper
-// passes the zero value. Results are byte-identical at any parallelism.
-// Engines are immutable after construction and safe for concurrent use.
+// (context, worker bound where one applies, scratch pool), the
+// package-level wrapper passes the zero value. Results are
+// byte-identical at any parallelism. Engines are immutable after
+// construction and safe for concurrent use.
 
 import (
 	"context"
@@ -178,7 +179,7 @@ func (e *Engine) viewOptions() view.Options {
 }
 
 func (e *Engine) coreOptions() core.Options {
-	return core.Options{Ctx: e.ctx, Workers: e.parallelism, Pool: e.mjScratch}
+	return core.Options{Ctx: e.ctx, Pool: e.mjScratch}
 }
 
 // Materialize evaluates every view over g concurrently (one worker task
@@ -213,26 +214,26 @@ func (e *Engine) BuildDistIndex(x *Extensions) (*DistIndex, error) {
 	return view.BuildDistIndex(x, e.viewOptions())
 }
 
-// Contains decides Qs ⊑ V with the per-view matches computed
-// concurrently.
+// Contains decides Qs ⊑ V, observing the engine context between the
+// per-view matches.
 func (e *Engine) Contains(q *Pattern, vs *ViewSet) (*Lambda, bool, error) {
 	return core.Contain(q, vs, e.coreOptions())
 }
 
-// MatchJoin evaluates q from extensions only: every query edge's match
-// set is seeded concurrently, then the removal fixpoint runs per SCC of
-// the pattern in reverse-topological waves — components of one wave
-// share no kill-propagation dependency, so each runs its support-counter
-// cascade on its own worker. Results and Stats are byte-identical to the
-// package-level MatchJoin at every parallelism.
+// MatchJoin evaluates q from extensions only, on the calling goroutine
+// with working state from the engine's scratch pool: every query edge's
+// match set is seeded, then one support-counter cascade removes
+// unsupported pairs. The engine context is observed between seeded edges
+// and before the cascade. Results and Stats are byte-identical to the
+// package-level MatchJoin.
 func (e *Engine) MatchJoin(q *Pattern, x *Extensions, l *Lambda) (*Result, Stats, error) {
 	return core.MatchJoin(q, x, l, e.coreOptions())
 }
 
 // Answer computes Q(G) from materialized extensions only, like the
-// package-level Answer, with containment matching, MatchJoin seeding and
-// the per-SCC MatchJoin fixpoint parallelized. The Stats expose the
-// MatchJoin work counters.
+// package-level Answer, on the calling goroutine with the engine's
+// context and scratch pool. The Stats expose the MatchJoin work
+// counters.
 func (e *Engine) Answer(q *Pattern, x *Extensions, s Strategy) (*Result, []int, Stats, error) {
 	return core.Answer(q, x, s, e.coreOptions())
 }

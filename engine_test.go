@@ -224,11 +224,12 @@ func TestMaintainedParallelMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestEngineMatchJoinSCCDeterminism is the acceptance harness of the
-// SCC-parallel fixpoint: on cyclic (multi-SCC necklace), DAG (glued
-// YouTube) and bounded workloads, Engine.MatchJoin must return results
-// and stats byte-identical to the sequential gv.MatchJoin at workers
-// 1, 2, 4 and 8. Run with -race.
+// TestEngineMatchJoinSCCDeterminism: on cyclic (multi-SCC necklace), DAG
+// (glued YouTube) and bounded workloads, Engine.MatchJoin — pooled
+// scratch, request context — must return results and stats
+// byte-identical to the package-level gv.MatchJoin whatever the
+// engine's parallelism (1, 2, 4, 8), which MatchJoin ignores. Run with
+// -race.
 func TestEngineMatchJoinSCCDeterminism(t *testing.T) {
 	type workload struct {
 		g  *gv.Graph

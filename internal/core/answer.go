@@ -31,30 +31,32 @@ const (
 var ErrNotContained = fmt.Errorf("core: query is not contained in the views")
 
 // Options carries what a containment check or a MatchJoin may be given
-// besides its inputs. The zero value is the sequential setting:
-// background context, one worker, transient scratch. Only the Engine
-// facade and code forwarding an Options it was handed fill the fields.
+// besides its inputs. The zero value is background context and a
+// transient scratch. Only the Engine facade and code forwarding an
+// Options it was handed fill the fields. Every call runs on its caller's
+// goroutine.
 type Options struct {
 	// Ctx is honored at every phase boundary (between per-view matches,
-	// between seeded edges, at every SCC wave barrier); a cancelled call
+	// between seeded edges, before the fixpoint); a cancelled call
 	// returns Ctx.Err(). nil means context.Background().
 	Ctx context.Context
-	// Workers bounds the fan-out of the containment check's per-view
-	// matches, of MatchJoin's per-edge seeding and of its per-SCC
-	// fixpoint waves. Results and Stats are identical at every count.
-	// 0 means one worker, a negative value GOMAXPROCS.
-	Workers int
 	// Pool supplies MatchJoin's working state (see ScratchPool); nil uses
 	// a transient scratch. Containment is unaffected — its working state
 	// is bounded by the pattern sizes, not the graph.
 	Pool *ScratchPool
 }
 
+// context resolves Ctx, nil meaning context.Background().
+func (o Options) context() context.Context {
+	if o.Ctx == nil {
+		return context.Background()
+	}
+	return o.Ctx
+}
+
 // Answer computes Q(G) from materialized extensions only. It returns
 // ErrNotContained when containment fails. The returned indices are the
 // views actually used, and the Stats expose the MatchJoin work counters.
-// The greedy Minimal/Minimum selections are order-dependent by
-// construction and stay sequential whatever the worker bound.
 func Answer(q *pattern.Pattern, x *view.Extensions, s Strategy, o Options) (*simulation.Result, []int, Stats, error) {
 	var (
 		idx []int
@@ -63,10 +65,8 @@ func Answer(q *pattern.Pattern, x *view.Extensions, s Strategy, o Options) (*sim
 		err error
 		st  Stats
 	)
-	if o.Ctx != nil {
-		if cerr := o.Ctx.Err(); cerr != nil {
-			return nil, nil, st, cerr
-		}
+	if cerr := o.context().Err(); cerr != nil {
+		return nil, nil, st, cerr
 	}
 	switch s {
 	case UseMinimal:

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 
-	"graphviews/internal/par"
 	"graphviews/internal/pattern"
 	"graphviews/internal/view"
 )
@@ -72,22 +71,15 @@ func validateForContainment(q *pattern.Pattern, vs *view.Set) error {
 	return vs.Validate()
 }
 
-// allViewMatches computes M^Qs_V for every view in the set.
-func allViewMatches(q *pattern.Pattern, vs *view.Set) []*ViewMatch {
-	vms, _ := ComputeViewMatches(context.Background(), q, vs, 1)
-	return vms
-}
-
 // Contain decides Qs ⊑ V (Theorem 3 / Proposition 7: Ep = ∪ M^Qs_V) and,
 // when it holds, returns the mapping λ over the full view set. It handles
 // both plain and bounded patterns (Bcontain of Section VI-B is the same
-// procedure with weighted view matches). The per-view match computations
-// fan out over the options' worker bound.
+// procedure with weighted view matches). o.Ctx is checked between views.
 func Contain(q *pattern.Pattern, vs *view.Set, o Options) (*Lambda, bool, error) {
 	if err := validateForContainment(q, vs); err != nil {
 		return nil, false, err
 	}
-	vms, err := ComputeViewMatches(o.Ctx, q, vs, par.OptionWorkers(o.Workers))
+	vms, err := ComputeViewMatches(o.context(), q, vs)
 	if err != nil {
 		return nil, false, err
 	}
@@ -195,7 +187,7 @@ func Minimum(q *pattern.Pattern, vs *view.Set) ([]int, *Lambda, bool, error) {
 		return nil, nil, false, err
 	}
 	nE := len(q.Edges)
-	vms := allViewMatches(q, vs)
+	vms, _ := ComputeViewMatches(context.Background(), q, vs)
 
 	covered := make([]bool, nE)
 	coveredCount := 0

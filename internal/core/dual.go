@@ -17,6 +17,7 @@ package core
 // (dual simulation is defined edge-to-edge).
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -153,7 +154,7 @@ func DualContain(q *pattern.Pattern, vs *view.Set) (*Lambda, bool, error) {
 func DualMatchJoin(q *pattern.Pattern, x *view.Extensions, l *Lambda) (*simulation.Result, Stats) {
 	var st Stats
 	sc := new(Scratch)
-	sets, ok, scans, _ := buildInitial(nil, q, x, l, 1, sc)
+	sets, ok, scans, _ := buildInitial(context.Background(), q, x, l, sc)
 	st.EdgeScans = scans
 	if !ok {
 		return simulation.Empty(q), st

@@ -5,12 +5,11 @@ package core
 // without touching G.
 //
 // There is one engine: support counters plus a removal worklist, each
-// pair touched O(1) times beyond initialization. With more than one
-// worker the seeding fans out per query edge and the fixpoint is
-// parallelized per SCC of the pattern (matchjoin_scc.go), byte-identical
-// at every worker count. The two scan-based forms of Fig. 2 that the
-// Exp-2 ablation compares (no visiting order; ascending rank order,
-// Lemma 2) live with that experiment in internal/experiments.
+// pair touched O(1) times beyond initialization, run on the caller's
+// goroutine — a serving process parallelizes across requests, not
+// within one. The two scan-based forms of Fig. 2 that the Exp-2 ablation
+// compares (no visiting order; ascending rank order, Lemma 2) live with
+// that experiment in internal/experiments.
 //
 // Bounded patterns need no second engine: extension pairs carry their
 // exact path lengths, so seeding filters each query edge's union by the
@@ -28,11 +27,9 @@ package core
 import (
 	"context"
 	"slices"
-	"sync/atomic"
 
 	"graphviews/internal/bitset"
 	"graphviews/internal/graph"
-	"graphviews/internal/par"
 	"graphviews/internal/pattern"
 	"graphviews/internal/simulation"
 	"graphviews/internal/view"
@@ -45,9 +42,8 @@ type Stats struct {
 	// scan-based ablation engines of internal/experiments this is the
 	// number of Fig. 2 re-scan passes; for the support-counter engines
 	// (MatchJoin, DualMatchJoin) the cascade never re-scans a set, so
-	// EdgeScans counts the seeding passes actually performed — one per
-	// query edge seeded, stopping at the first edge whose union came up
-	// empty.
+	// EdgeScans counts the seeding passes performed — one per query edge
+	// in order, stopping at the first edge whose union came up empty.
 	EdgeScans int
 	// PairKills counts removed candidate pairs.
 	PairKills int
@@ -108,62 +104,19 @@ func (es *edgeSet) hasDst(v int) bool {
 
 // buildInitial seeds the per-edge sets: union over λ(e) of the referenced
 // extension match sets, filtered by the query edge bound using the
-// recorded pair distances, deduplicated keeping minimum distance. The
-// per-query-edge seeding — independent across edges — fans out over up
-// to workers goroutines. Extensions are only read; each worker writes
-// its own sets slot. An empty seeded edge short-circuits: the sequential
-// path returns before touching later edges, and parallel workers stop
-// seeding new edges once any set comes up empty. The reported scan count
-// (see Stats.EdgeScans) is canonical — edges up to and including the
-// first empty one — so it is identical at every worker count even though
-// parallel workers may seed a few extra edges speculatively.
-//
-// The sequential path draws pair buffers from the scratch arenas; the
-// parallel path seeds from the heap (arenas are single-goroutine).
-func buildInitial(ctx context.Context, q *pattern.Pattern, x *view.Extensions, l *Lambda, workers int, sc *Scratch) ([]edgeSet, bool, int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// recorded pair distances, deduplicated keeping minimum distance. Edges
+// are seeded in order with ctx checked before each; the first empty
+// union short-circuits (Qs(G) = ∅) before later edges are touched, and
+// the returned scan count (see Stats.EdgeScans) includes it.
+func buildInitial(ctx context.Context, q *pattern.Pattern, x *view.Extensions, l *Lambda, sc *Scratch) ([]edgeSet, bool, int, error) {
 	sets := make([]edgeSet, len(q.Edges))
-	if par.Workers(workers) <= 1 {
-		for qi := range q.Edges {
-			if err := ctx.Err(); err != nil {
-				return nil, false, 0, err
-			}
-			seedEdgeSet(&sets[qi], q, x, l, qi, sc)
-			if len(sets[qi].pairs) == 0 {
-				return nil, false, qi + 1, nil
-			}
+	for qi := range q.Edges {
+		if err := ctx.Err(); err != nil {
+			return nil, false, 0, err
 		}
-		return sets, true, len(q.Edges), nil
-	}
-	var dead atomic.Bool
-	seeded := make([]bool, len(q.Edges))
-	err := par.ForEach(ctx, workers, len(q.Edges), func(qi int) {
-		if dead.Load() {
-			return
-		}
-		seedEdgeSet(&sets[qi], q, x, l, qi, nil)
-		seeded[qi] = true
+		seedEdgeSet(&sets[qi], q, x, l, qi, sc)
 		if len(sets[qi].pairs) == 0 {
-			dead.Store(true)
-		}
-	})
-	if err != nil {
-		return nil, false, 0, err
-	}
-	if dead.Load() {
-		// Some edge came up empty: Qs(G) = ∅. Workers may have skipped
-		// edges after the short-circuit, so backfill in order to find the
-		// first genuinely empty edge — the canonical scan count matches
-		// the sequential path's exactly.
-		for qi := range sets {
-			if !seeded[qi] {
-				seedEdgeSet(&sets[qi], q, x, l, qi, sc)
-			}
-			if len(sets[qi].pairs) == 0 {
-				return nil, false, qi + 1, nil
-			}
+			return nil, false, qi + 1, nil
 		}
 	}
 	return sets, true, len(q.Edges), nil
@@ -172,8 +125,8 @@ func buildInitial(ctx context.Context, q *pattern.Pattern, x *view.Extensions, l
 // seedEdgeSet fills one query edge's pair buffer from the extensions; an
 // empty union leaves the set with no pairs, which the caller treats as
 // Qs(G) = ∅. A counting pass sizes the buffer exactly, so the fill never
-// reallocates; with a scratch the buffer comes from the arenas, else from
-// the heap. The CSR indexes are built later by indexEdgeSets.
+// reallocates; the buffer comes from the scratch arenas. The CSR indexes
+// are built later by indexEdgeSets.
 func seedEdgeSet(es *edgeSet, q *pattern.Pattern, x *view.Extensions, l *Lambda, qi int, sc *Scratch) {
 	b := q.Edges[qi].Bound
 	refs := l.PerEdge[qi]
@@ -193,16 +146,12 @@ func seedEdgeSet(es *edgeSet, q *pattern.Pattern, x *view.Extensions, l *Lambda,
 	if total == 0 {
 		return
 	}
-	var em simulation.EdgeMatches
-	if sc != nil {
-		// This EdgeMatches is the working set, not the answer: its
-		// storage dies with the query's scratch, and finish() copies the
-		// survivors into fresh heap slices before the Result escapes.
-		em.Pairs = sc.pairs.MakeDirty(total)[:0] //gvcheck:owns working set; finish() copies survivors out
-		em.Dists = sc.i32.MakeDirty(total)[:0]   //gvcheck:owns working set; finish() copies survivors out
-	} else {
-		em.Pairs = make([]simulation.Pair, 0, total)
-		em.Dists = make([]int32, 0, total)
+	// This EdgeMatches is the working set, not the answer: its storage
+	// dies with the query's scratch, and finish() copies the survivors
+	// into fresh heap slices before the Result escapes.
+	em := simulation.EdgeMatches{
+		Pairs: sc.pairs.MakeDirty(total)[:0], //gvcheck:owns working set; finish() copies survivors out
+		Dists: sc.i32.MakeDirty(total)[:0],   //gvcheck:owns working set; finish() copies survivors out
 	}
 	for _, ref := range refs {
 		se := &x.Exts[ref.View].Result.Edges[ref.Edge]
@@ -228,9 +177,9 @@ func seedEdgeSet(es *edgeSet, q *pattern.Pattern, x *view.Extensions, l *Lambda,
 // numbered in ascending original-id order, so every "scan compressed ids
 // ascending" loop downstream still yields sorted original ids — then
 // builds each edge's alive bitset, bySrc/byDst CSR offsets and source
-// support counters via one counting sort per edge. Runs sequentially on
-// the scratch arenas after the (possibly parallel) seeding barrier; cost
-// O(Σ|Se| + |Eq|·m) plus one bitset sweep over the max original id.
+// support counters via one counting sort per edge, on the scratch
+// arenas; cost O(Σ|Se| + |Eq|·m) plus one bitset sweep over the max
+// original id.
 // Returns m and the compressed→original id table.
 func indexEdgeSets(sets []edgeSet, sc *Scratch) (int, []graph.NodeID) {
 	maxID := graph.NodeID(-1)
@@ -398,20 +347,17 @@ func finish(q *pattern.Pattern, sets []edgeSet, nu int, toOrig []graph.NodeID, s
 
 // MatchJoin evaluates q over the extensions using λ. Callers obtain λ
 // from Contain, Minimal or Minimum; extensions must correspond to the
-// full view set λ was built against. With one worker it is one global
-// support-counter cascade; with more, the seeding (per-query-edge union
-// and bound filtering over the view extensions) fans out one task per
-// edge, and the removal fixpoint is decomposed by the pattern's SCC
-// condensation into reverse-topological waves of independent components
-// (see matchjoin_scc.go). Results and Stats are identical at every
-// worker count. It returns o.Ctx.Err() when cancelled during seeding or
-// at a wave barrier.
+// full view set λ was built against. It seeds every query edge (union
+// and bound filtering over the view extensions), then runs one global
+// support-counter cascade, all on the calling goroutine. It returns
+// o.Ctx.Err() when cancelled before an edge is seeded or before the
+// fixpoint starts.
 func MatchJoin(q *pattern.Pattern, x *view.Extensions, l *Lambda, o Options) (*simulation.Result, Stats, error) {
-	workers := par.OptionWorkers(o.Workers)
+	ctx := o.context()
 	sc := o.Pool.Get()
 	defer o.Pool.Put(sc)
 	var st Stats
-	sets, ok, scans, err := buildInitial(o.Ctx, q, x, l, workers, sc)
+	sets, ok, scans, err := buildInitial(ctx, q, x, l, sc)
 	st.EdgeScans = scans
 	if err != nil {
 		return nil, Stats{}, err
@@ -423,16 +369,10 @@ func MatchJoin(q *pattern.Pattern, x *view.Extensions, l *Lambda, o Options) (*s
 		st.InitialPairs += len(sets[qi].pairs)
 	}
 	nu, toOrig := indexEdgeSets(sets, sc)
-	if par.Workers(workers) <= 1 {
-		// A single worker gains nothing from condensation and wave
-		// bookkeeping; run the flat cascade (provably identical).
-		return matchJoinFixpoint(q, sets, &st, nu, toOrig, sc), st, nil
-	}
-	res, err := matchJoinFixpointSCC(o.Ctx, q, sets, &st, nu, toOrig, sc, workers)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
-	return res, st, nil
+	return matchJoinFixpoint(q, sets, &st, nu, toOrig, sc), st, nil
 }
 
 // seedNodeFailures scans the compressed universe for pattern node u and
@@ -440,10 +380,7 @@ func MatchJoin(q *pattern.Pattern, x *view.Extensions, l *Lambda, o Options) (*s
 // some incident edge set (source of an out-edge set, or target of an
 // in-edge set when no out-edge has it), fails counts the out-edges in
 // which v has no source pair; fails > 0 writes failCnt[u·nu+v] and
-// appends the kill. Shared verbatim by the sequential cascade and the
-// per-component SCC seeding (phase A) — the determinism contract
-// requires both paths to seed bit-identically. Sink nodes (no
-// out-edges) never fail.
+// appends the kill. Sink nodes (no out-edges) never fail.
 func seedNodeFailures(q *pattern.Pattern, sets []edgeSet, failCnt []int32, nu, u int, work []kill) []kill {
 	outs := q.OutEdges(u)
 	if len(outs) == 0 {
@@ -481,10 +418,9 @@ func seedNodeFailures(q *pattern.Pattern, sets []edgeSet, failCnt []int32, nu, u
 }
 
 // matchJoinFixpoint runs the support-counter removal cascade over seeded
-// edge sets (the sequential heart of Fig. 2) and assembles the result.
-// The cascade always runs to its greatest fixpoint — even when an edge
-// set empties along the way — so PairKills is a deterministic function of
-// the seeds and matches the SCC-parallel path's count exactly.
+// edge sets (the heart of Fig. 2) and assembles the result. The cascade
+// always runs to its greatest fixpoint — even when an edge set empties
+// along the way — so PairKills is a deterministic function of the seeds.
 func matchJoinFixpoint(q *pattern.Pattern, sets []edgeSet, st *Stats, nu int, toOrig []graph.NodeID, sc *Scratch) *simulation.Result {
 	// failCnt[u·nu + v] = number of out-edges of pattern node u in which v
 	// has no alive pair as source. A node match (u,v) is valid iff 0.

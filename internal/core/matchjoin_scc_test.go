@@ -1,16 +1,15 @@
 package core
 
-// Determinism and equivalence tests for the SCC-parallel MatchJoin
-// fixpoint: MatchJoinWith must return results and stats byte-identical
-// to the sequential MatchJoin at every worker count, on cyclic, DAG and
-// bounded patterns, and both must agree with direct (bounded) simulation
-// on contained queries (Theorem 1).
+// Equivalence tests for MatchJoin on multi-SCC patterns: results and
+// stats must be byte-identical to the map-based reference engine of
+// reference_test.go on cyclic, DAG and bounded patterns, and both must
+// agree with direct (bounded) simulation on contained queries
+// (Theorem 1).
 
 import (
 	"context"
 	"errors"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"graphviews/internal/generator"
@@ -20,40 +19,16 @@ import (
 	"graphviews/internal/view"
 )
 
-var sccWorkerSweep = []int{1, 2, 4, 8}
-
-// assertIdentical fails unless the parallel result/stats are
-// byte-identical to the sequential reference — edge match sets with
-// distances, derived node match sets, and all three work counters.
-func assertIdentical(t *testing.T, label string, seqRes *simulation.Result, seqSt Stats, res *simulation.Result, st Stats) {
-	t.Helper()
-	if !res.Equal(seqRes) {
-		t.Fatalf("%s: edge match sets differ\nseq: %v\npar: %v", label, seqRes, res)
-	}
-	if !reflect.DeepEqual(res.Sim, seqRes.Sim) {
-		t.Fatalf("%s: node match sets differ\nseq: %v\npar: %v", label, seqRes.Sim, res.Sim)
-	}
-	if st != seqSt {
-		t.Fatalf("%s: stats differ: seq %+v par %+v", label, seqSt, st)
-	}
-}
-
-// runSweep evaluates q over x at every worker count and checks each
-// against the sequential engine and, when want is non-nil, against the
-// direct evaluation.
+// runSweep evaluates q over x and checks it against the reference engine
+// and, when want is non-nil, against the direct evaluation.
 func runSweep(t *testing.T, label string, q *pattern.Pattern, x *view.Extensions, l *Lambda, want *simulation.Result) {
 	t.Helper()
-	seqRes, seqSt := seqMatchJoin(q, x, l)
-	if want != nil && !seqRes.Equal(want) {
-		t.Fatalf("%s: sequential MatchJoin != direct evaluation\ngot:  %v\nwant: %v", label, seqRes, want)
+	res, st := seqMatchJoin(q, x, l)
+	if want != nil && !res.Equal(want) {
+		t.Fatalf("%s: MatchJoin != direct evaluation\ngot:  %v\nwant: %v", label, res, want)
 	}
-	for _, w := range sccWorkerSweep {
-		res, st, err := MatchJoin(q, x, l, Options{Workers: w})
-		if err != nil {
-			t.Fatalf("%s workers=%d: %v", label, w, err)
-		}
-		assertIdentical(t, label, seqRes, seqSt, res, st)
-	}
+	refRes, refSt := refMatchJoin(q, x, l)
+	assertRefIdentical(t, label, refRes, refSt, res, st)
 }
 
 // TestMatchJoinSCCNecklace: multi-SCC cyclic patterns (plain and
@@ -80,9 +55,8 @@ func TestMatchJoinSCCNecklace(t *testing.T) {
 	}
 }
 
-// TestMatchJoinSCCRandomGlued: the PR-1 randomized workloads (glued
-// contained queries over random cyclic views), now sweeping the parallel
-// fixpoint; covers DAG patterns, 2-cycles and empty results.
+// TestMatchJoinSCCRandomGlued: glued contained queries over random
+// cyclic views; covers DAG patterns, 2-cycles and empty results.
 func TestMatchJoinSCCRandomGlued(t *testing.T) {
 	labels := []string{"A", "B", "C"}
 	for _, bounded := range []bool{false, true} {
@@ -109,9 +83,9 @@ func TestMatchJoinSCCRandomGlued(t *testing.T) {
 	}
 }
 
-// TestMatchJoinSCCEmptySeeding: a view with no matches yields ∅ with the
-// same canonical stats (EdgeScans stops at the first empty edge) at every
-// worker count.
+// TestMatchJoinSCCEmptySeeding: a view with no matches yields ∅, with
+// EdgeScans stopping at the first empty edge, exactly like the
+// reference.
 func TestMatchJoinSCCEmptySeeding(t *testing.T) {
 	g := graph.New()
 	g.AddNode("A") // no edges: the view has no matches
@@ -124,24 +98,18 @@ func TestMatchJoinSCCEmptySeeding(t *testing.T) {
 	if !ok {
 		t.Fatal("q ⊑ {q} must hold")
 	}
-	seqRes, seqSt := seqMatchJoin(q, x, l)
-	if seqRes.Matched {
+	res, st := seqMatchJoin(q, x, l)
+	if res.Matched {
 		t.Fatal("expected ∅")
 	}
-	if seqSt.EdgeScans != 1 {
-		t.Fatalf("EdgeScans = %d, want 1 (seeding stops at the first empty edge)", seqSt.EdgeScans)
+	if st.EdgeScans != 1 {
+		t.Fatalf("EdgeScans = %d, want 1 (seeding stops at the first empty edge)", st.EdgeScans)
 	}
-	for _, w := range sccWorkerSweep {
-		res, st, err := MatchJoin(q, x, l, Options{Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertIdentical(t, "empty", seqRes, seqSt, res, st)
-	}
+	runSweep(t, "empty", q, x, l, nil)
 }
 
-// TestMatchJoinSCCCancellation: a cancelled context aborts both the
-// seeding and the wave loop.
+// TestMatchJoinSCCCancellation: a cancelled context is refused by
+// MatchJoin and by Contain.
 func TestMatchJoinSCCCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	q, vs := generator.Necklace(rng, 3, 1)
@@ -153,8 +121,11 @@ func TestMatchJoinSCCCancellation(t *testing.T) {
 	x := materialize(g, vs)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := MatchJoin(q, x, l, Options{Ctx: ctx, Workers: 4}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled MatchJoinWith: err = %v", err)
+	if _, _, err := MatchJoin(q, x, l, Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled MatchJoin: err = %v", err)
+	}
+	if _, _, err := Contain(q, vs, Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Contain: err = %v", err)
 	}
 }
 

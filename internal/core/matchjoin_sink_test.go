@@ -60,8 +60,8 @@ func TestSinkUnionDerivation(t *testing.T) {
 
 	engines := map[string]func() *simulation.Result{
 		"MatchJoin": func() *simulation.Result { r, _ := seqMatchJoin(q, x, l); return r },
-		"MatchJoin4": func() *simulation.Result {
-			r, _, err := MatchJoin(q, x, l, Options{Workers: 4})
+		"MatchJoinPooled": func() *simulation.Result {
+			r, _, err := MatchJoin(q, x, l, Options{Pool: NewScratchPool()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,6 +107,7 @@ func TestSinkUnionDerivation(t *testing.T) {
 func TestSinkDerivationRandomized(t *testing.T) {
 	labels := []string{"A", "B", "C", "U"}
 	rng := rand.New(rand.NewSource(83))
+	pool := NewScratchPool()
 	for trial := 0; trial < 120; trial++ {
 		nSrc := 2 + rng.Intn(3)
 		q := pattern.New("star")
@@ -131,11 +132,11 @@ func TestSinkDerivationRandomized(t *testing.T) {
 
 		results := make(map[string]*simulation.Result)
 		results["MatchJoin"], _ = seqMatchJoin(q, x, l)
-		parRes, _, err := MatchJoin(q, x, l, Options{Workers: 4})
+		pooled, _, err := MatchJoin(q, x, l, Options{Pool: pool})
 		if err != nil {
 			t.Fatal(err)
 		}
-		results["MatchJoin4"] = parRes
+		results["MatchJoinPooled"] = pooled
 
 		for name, got := range results {
 			if !got.Equal(want) {

@@ -21,6 +21,7 @@ package core
 // to the exact Qs(G).
 
 import (
+	"context"
 	"slices"
 
 	"graphviews/internal/graph"
@@ -50,7 +51,8 @@ func AnswerPartial(q *pattern.Pattern, x *view.Extensions) (*PartialAnswer, erro
 	if err := validateForContainment(q, x.Set); err != nil {
 		return nil, err
 	}
-	l, covered := lambdaOverAll(q, allViewMatches(q, x.Set))
+	vms, _ := ComputeViewMatches(context.Background(), q, x.Set)
+	l, covered := lambdaOverAll(q, vms)
 	if !slices.Contains(covered, false) {
 		res, _, _ := MatchJoin(q, x, l, Options{})
 		return &PartialAnswer{Covered: covered, Result: res, Exact: true}, nil

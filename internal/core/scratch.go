@@ -6,11 +6,8 @@ package core
 // and the kill worklist. Everything is carved from bump arenas reclaimed
 // wholesale between queries, so a pooled engine answers repeated queries
 // without allocating working state; only the Result (which outlives the
-// call) is heap-allocated.
-//
-// Arenas are single-goroutine: the parallel seeding and per-SCC cascade
-// phases either read pre-built arrays or allocate from the heap, and all
-// arena draws happen in the sequential phase boundaries between them.
+// call) is heap-allocated. Arenas are single-goroutine, as is every
+// MatchJoin call.
 
 import (
 	"graphviews/internal/arena"

@@ -8,6 +8,7 @@ package core
 // edges instead of one query's.
 
 import (
+	"context"
 	"sort"
 
 	"graphviews/internal/pattern"
@@ -33,7 +34,8 @@ func SelectViews(workload []*pattern.Pattern, candidates *view.Set) (chosen []in
 	total := 0
 	for qi, q := range workload {
 		total += len(q.Edges)
-		for ci, vm := range allViewMatches(q, candidates) {
+		vms, _ := ComputeViewMatches(context.Background(), q, candidates)
+		for ci, vm := range vms {
 			for ei, c := range vm.Covered {
 				if c {
 					coverage[ci] = append(coverage[ci], obligation{qi, ei})

@@ -8,7 +8,6 @@ package core
 import (
 	"context"
 
-	"graphviews/internal/par"
 	"graphviews/internal/pattern"
 	"graphviews/internal/view"
 )
@@ -41,20 +40,19 @@ func (vm *ViewMatch) CoveredCount() int {
 	return n
 }
 
-// ComputeViewMatches evaluates M^Qs_V for every view of the set, one view
-// per worker-pool task: each view match is independent of the others,
-// which makes containment checking over large view pools scale with
-// cores. Results are positionally identical to sequential computation.
-func ComputeViewMatches(ctx context.Context, q *pattern.Pattern, vs *view.Set, workers int) ([]*ViewMatch, error) {
+// ComputeViewMatches evaluates M^Qs_V for every view of the set, in set
+// order, checking ctx before each view; a cancelled call returns
+// ctx.Err(). With context.Background() it never fails.
+func ComputeViewMatches(ctx context.Context, q *pattern.Pattern, vs *view.Set) ([]*ViewMatch, error) {
 	vms := make([]*ViewMatch, vs.Card())
 	// The weighted distance closure depends only on q: compute it once
-	// and share it read-only across the per-view tasks.
+	// for all views.
 	wdist, reach := pattern.Distances(q)
-	err := par.ForEach(ctx, workers, vs.Card(), func(i int) {
-		vms[i] = computeViewMatchFrom(q, vs.Defs[i], wdist, reach)
-	})
-	if err != nil {
-		return nil, err
+	for i, d := range vs.Defs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		vms[i] = computeViewMatchFrom(q, d, wdist, reach)
 	}
 	return vms, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -121,7 +122,7 @@ func TestViewMatchEmptyWhenViewNodeUnmatched(t *testing.T) {
 // bruteMinimumSize finds the true minimum containing subset by exhaustive
 // search (small card(V) only).
 func bruteMinimumSize(q *pattern.Pattern, vs *view.Set) int {
-	vms := allViewMatches(q, vs)
+	vms, _ := ComputeViewMatches(context.Background(), q, vs)
 	n := vs.Card()
 	best := -1
 	for mask := 1; mask < 1<<n; mask++ {

@@ -4,7 +4,7 @@ package generator
 // connected components — k directed cycles ("beads") chained by bridge
 // edges — together with a view set that contains the query by
 // construction (one view per bead, one single-edge view per bridge).
-// These are the stress workloads of the SCC-parallel MatchJoin fixpoint:
+// These are the multi-SCC stress workloads of the MatchJoin fixpoint:
 // each bead is a non-trivial SCC with its own internal cascade, bridges
 // give the condensation DAG depth, and the single-edge bridge views
 // admit many invalid seed pairs for the fixpoint to remove.

@@ -102,10 +102,10 @@ func SCC(g Reader) *SCCResult {
 	return res
 }
 
-// Condensation returns the SCC DAG: one node per component, an edge
+// dag returns the condensation DAG: one node per component, an edge
 // (i, j) when some edge of g crosses from component i to component j.
 // Edges are deduplicated.
-func (r *SCCResult) Condensation(g Reader) [][]int32 {
+func (r *SCCResult) dag(g Reader) [][]int32 {
 	adj := make([][]int32, len(r.Comps))
 	seen := make(map[int64]struct{})
 	g.Edges(func(u, v NodeID) bool {
@@ -134,12 +134,11 @@ func (r *SCCResult) IsSingleton(g Reader, ci int32) bool {
 	return !g.HasEdge(v, v)
 }
 
-// Heights computes the height of every component over the condensation
-// DAG cond (as returned by Condensation): 0 for components with no
-// successors, otherwise max{1 + height of successor}. This is the rank
-// of Section III at component granularity; Ranks projects it onto nodes
-// and pattern.Condense groups equal heights into waves.
-func (r *SCCResult) Heights(cond [][]int32) []int {
+// heights computes the height of every component over the condensation
+// DAG cond (as returned by dag): 0 for components with no successors,
+// otherwise max{1 + height of successor}. This is the rank of Section
+// III at component granularity; Ranks projects it onto nodes.
+func (r *SCCResult) heights(cond [][]int32) []int {
 	nc := len(r.Comps)
 	height := make([]int, nc)
 	done := make([]bool, nc)
@@ -171,7 +170,7 @@ func (r *SCCResult) Heights(cond [][]int32) []int {
 // share a rank.
 func Ranks(g Reader) []int {
 	scc := SCC(g)
-	rank := scc.Heights(scc.Condensation(g))
+	rank := scc.heights(scc.dag(g))
 	out := make([]int, g.NumNodes())
 	for v := range out {
 		out[v] = rank[scc.CompOf[v]]

@@ -1,8 +1,9 @@
 // Package par is the concurrency substrate of the engine: a minimal
 // work-stealing ForEach used to fan embarrassingly parallel phases —
-// per-view materialization, per-view containment matching, per-edge
-// MatchJoin seeding — over a bounded worker pool, with cooperative
-// context cancellation.
+// per-view materialization, per-shard candidate seeding, bounded
+// distance enumeration, per-view maintenance — over a bounded worker
+// pool, with cooperative context cancellation. Query answering
+// (containment and MatchJoin) does not use it.
 package par
 
 import (

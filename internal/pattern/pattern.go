@@ -73,9 +73,9 @@ type Pattern struct {
 	Edges []Edge
 
 	// adj caches the per-node edge-index adjacency, built lazily and
-	// published atomically so concurrent readers (the SCC-parallel
-	// MatchJoin workers) never observe a partial build. Mutations clear
-	// it; concurrent duplicate builds are idempotent.
+	// published atomically so concurrent readers (requests sharing one
+	// *Pattern) never observe a partial build. Mutations clear it;
+	// concurrent duplicate builds are idempotent.
 	adj atomic.Pointer[patternAdj]
 }
 

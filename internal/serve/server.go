@@ -49,7 +49,9 @@ import (
 // workers, no sharding, no admission bound, no request timeout and
 // explicit-only publishing.
 type Config struct {
-	// Workers bounds the engine worker pool (<= 0 selects GOMAXPROCS).
+	// Workers bounds the engine worker pool of view materialization and
+	// maintenance (<= 0 selects GOMAXPROCS). Each query runs on its
+	// request's goroutine.
 	Workers int
 	// Shards configures hash-partitioned snapshots: >= 2 fixed shard
 	// count, 0 or negative the engine's auto heuristic, 1 unsharded.
@@ -527,6 +529,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	limit, ok := parseLimit(w, r)
+	if !ok {
+		return
+	}
 	snap := s.cur.Load()
 	start := time.Now()
 	res, used, _, err := s.eng.WithRequest(r.Context()).Answer(q, snap.Exts, strategy)
@@ -544,7 +550,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	for _, i := range used {
 		resp.ViewsUsed = append(resp.ViewsUsed, snap.Exts.Set.Defs[i].Name)
 	}
-	attachPairs(resp, res, r)
+	attachPairs(resp, res, r, limit)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -555,6 +561,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // timeout only gates admission to it.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	q, ok := s.readPattern(w, r)
+	if !ok {
+		return
+	}
+	limit, ok := parseLimit(w, r)
 	if !ok {
 		return
 	}
@@ -579,7 +589,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		Size:      res.Size(),
 		ElapsedUs: time.Since(start).Microseconds(),
 	}
-	attachPairs(resp, res, r)
+	attachPairs(resp, res, r, limit)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -783,17 +793,27 @@ func (s *Server) queryError(w http.ResponseWriter, r *http.Request, err error) {
 	}
 }
 
+// parseLimit resolves ?limit=, the pairs per edge ?pairs=1 emits
+// (default 100, 0 = unlimited), writing the error response itself when
+// it returns ok=false: anything but a non-negative integer is a 400.
+func parseLimit(w http.ResponseWriter, r *http.Request) (int, bool) {
+	v := r.URL.Query().Get("limit")
+	if v == "" {
+		return 100, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid limit %q (want a non-negative integer)", v))
+		return 0, false
+	}
+	return n, true
+}
+
 // attachPairs adds per-edge match pairs to a response when ?pairs=1,
-// truncated to ?limit= pairs per edge (default 100, 0 = unlimited).
-func attachPairs(resp *queryResponse, res *gv.Result, r *http.Request) {
+// truncated to limit pairs per edge (0 = unlimited).
+func attachPairs(resp *queryResponse, res *gv.Result, r *http.Request, limit int) {
 	if r.URL.Query().Get("pairs") != "1" || !res.Matched {
 		return
-	}
-	limit := 100
-	if v := r.URL.Query().Get("limit"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-			limit = n
-		}
 	}
 	for i, e := range res.Pattern.Edges {
 		em := &res.Edges[i]

@@ -165,8 +165,8 @@ func TestPublishSwapConsistency(t *testing.T) {
 			t.Fatalf("epoch %d: %v", epoch, err)
 		}
 		want := &queryResponse{}
-		req := httptest.NewRequest(http.MethodGet, "/?pairs=1&limit=0", nil)
-		attachPairs(want, res, req)
+		req := httptest.NewRequest(http.MethodGet, "/?pairs=1", nil)
+		attachPairs(want, res, req, 0)
 		expect[epoch] = obs{epoch, res.Size(), fmt.Sprint(want.Edges)}
 	}
 	checked := 0
@@ -293,6 +293,30 @@ func TestQueryErrors(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("update %q = %d, want 400", body, resp.StatusCode)
+		}
+	}
+}
+
+// TestPairLimitValidation: a ?limit= that is not a non-negative integer
+// is a 400 with the JSON error body on both answer routes, never a
+// silent fall-back to the default.
+func TestPairLimitValidation(t *testing.T) {
+	_, hs, q := newTestServer(t, Config{})
+	for _, route := range []string{"/query", "/match"} {
+		for _, limit := range []string{"abc", "-1", "1e6"} {
+			resp, err := http.Post(hs.URL+route+"?pairs=1&limit="+limit, "text/plain", strings.NewReader(q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var body map[string]string
+			derr := json.NewDecoder(resp.Body).Decode(&body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || derr != nil || body["error"] == "" {
+				t.Fatalf("%s limit=%s: status %d body %v (%v), want 400 with an error body", route, limit, resp.StatusCode, body, derr)
+			}
+		}
+		if got := postQuery(t, hs.URL+route+"?pairs=1&limit=0", q, http.StatusOK); len(got.Edges) != 1 || len(got.Edges[0].Pairs) != 1 {
+			t.Fatalf("%s limit=0: edges %+v, want one edge with one pair", route, got.Edges)
 		}
 	}
 }
