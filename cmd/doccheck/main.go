@@ -9,10 +9,12 @@
 //  2. Doc comments: every exported top-level symbol (funcs, methods,
 //     types, vars, consts) in the packages named by -pkgs must carry a
 //     doc comment — the facade and contract packages stay godoc-clean.
-//  3. Flag drift: every flag registered by the commands named by -flags
-//     (flag.String/Int/Bool/... with a literal name) must be mentioned
-//     as -<name> in the -flagsdoc operations document, so OPERATIONS.md
-//     cannot silently fall behind the CLI surface.
+//  3. Flag drift, both ways: every flag registered by the commands named
+//     by -flags (flag.String/Int/Bool/... with a literal name) must be
+//     mentioned as -<name> in the -flagsdoc operations document, and
+//     every flag-table row | `-<name>` | of that document must name a
+//     flag one of those commands registers, so OPERATIONS.md can
+//     neither fall behind the CLI surface nor keep a deleted flag.
 //
 // Usage:
 //
@@ -210,11 +212,11 @@ var flagCtors = map[string]bool{
 	"Int64": true, "String": true, "Uint": true, "Uint64": true,
 }
 
-// checkCmdFlags parses one command directory and reports every
-// registered flag whose -name does not appear in the operations
-// document. The scan is syntactic: calls of the form
+// checkCmdFlags parses one command directory, adds every flag it
+// registers to registered, and reports each whose -name does not appear
+// in the operations document. The scan is syntactic: calls of the form
 // flag.String("name", ...) with a literal first argument.
-func checkCmdFlags(dir, docPath string, cache map[string]string) {
+func checkCmdFlags(dir, docPath string, cache map[string]string, registered map[string]bool) {
 	doc, ok := readCached(docPath, cache)
 	if !ok {
 		report("%s: unreadable (needed for -flags %s)", docPath, dir)
@@ -250,12 +252,31 @@ func checkCmdFlags(dir, docPath string, cache map[string]string) {
 				if err != nil || name == "" {
 					return true
 				}
+				registered[name] = true
 				if !strings.Contains(doc, "-"+name) {
 					report("%s: flag -%s of %s is not documented in %s",
 						fset.Position(lit.Pos()), name, dir, docPath)
 				}
 				return true
 			})
+		}
+	}
+}
+
+// flagRowRE matches a flag-table row of the operations document; the
+// capture is the flag name.
+var flagRowRE = regexp.MustCompile("^\\|\\s*`-([A-Za-z0-9][A-Za-z0-9_-]*)`\\s*\\|")
+
+// checkFlagRows reports every flag-table row of the operations document
+// that names a flag no -flags command registers.
+func checkFlagRows(docPath string, cache map[string]string, registered map[string]bool) {
+	doc, ok := readCached(docPath, cache)
+	if !ok {
+		return // already reported by checkCmdFlags
+	}
+	for i, line := range strings.Split(doc, "\n") {
+		if m := flagRowRE.FindStringSubmatch(line); m != nil && !registered[m[1]] {
+			report("%s:%d: documented flag -%s is registered by none of the -flags commands", docPath, i+1, m[1])
 		}
 	}
 }
@@ -301,9 +322,11 @@ func main() {
 		}
 	}
 	if *flagDirs != "" {
+		registered := map[string]bool{}
 		for _, dir := range strings.Split(*flagDirs, ",") {
-			checkCmdFlags(strings.TrimSpace(dir), *flagsDoc, cache)
+			checkCmdFlags(strings.TrimSpace(dir), *flagsDoc, cache, registered)
 		}
+		checkFlagRows(*flagsDoc, cache, registered)
 	}
 	if violations > 0 {
 		fmt.Fprintf(os.Stderr, "doccheck: %d violation(s)\n", violations)

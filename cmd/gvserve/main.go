@@ -121,7 +121,6 @@ func main() {
 		publishAfter = flag.Int("publish-after", 0, "publish once this many updates accumulated (<=0 off)")
 		dataDir      = flag.String("data-dir", "", "durable store directory (checkpoint snapshot + write-ahead log); empty = ephemeral, updates lost on restart")
 		walSync      = flag.String("wal-sync", "always", "WAL durability for acknowledged updates: always (fsync per record), none, or a group-commit interval like 50ms")
-		useMmap      = flag.Bool("mmap", false, "memory-map checkpoint part files at load instead of reading them (zero-copy column adoption; unix only, falls back to reads elsewhere)")
 		persistExts  = flag.Bool("persist-exts", true, "persist materialized view extensions in checkpoints so a clean-tail restart skips rematerialization")
 		walBacklog   = flag.Int64("wal-backlog", 256<<20, "WAL high-water mark in bytes: past it /healthz degrades to 503 wal_backlog (checkpoints are failing); <=0 unlimited")
 		quiet        = flag.Bool("quiet", false, "disable the per-request access log")
@@ -149,7 +148,7 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		st, err = store.Open(*dataDir, store.Options{Sync: policy, Mmap: *useMmap})
+		st, err = store.Open(*dataDir, store.Options{Sync: policy})
 		if err != nil {
 			fail("%v", err)
 		}

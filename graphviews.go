@@ -59,8 +59,9 @@ type (
 	Frozen = graph.Sharded
 	// Sharded is the immutable backend of k CSR shards (see Shard):
 	// per-shard label partitions with merge-on-read global
-	// NodesWithLabel (the prebuilt partition itself at k = 1), and
-	// per-shard boundary arrays of cross-shard edges.
+	// NodesWithLabel (the prebuilt partition itself at k = 1). An edge
+	// lives in its source's shard's forward CSR and its target's
+	// shard's reverse CSR.
 	Sharded = graph.Sharded
 	// NodeID identifies a node of a Graph.
 	NodeID = graph.NodeID
@@ -155,11 +156,11 @@ func Freeze(g GraphReader) *Frozen { return graph.Freeze(g) }
 // Shard splits any graph backend into k hash partitions — O(|V|+|E|)
 // the first time, incremental per shard like Freeze after that: shard s
 // owns the nodes v with v mod k == s, holding their full CSR
-// adjacency, a shard-local label partition, frozen attribute columns and
-// the boundary array of its cross-shard out-edges. The result satisfies
-// GraphReader, so every evaluation entry point runs on it unchanged —
-// over k > 1 shards the engines' candidate seeding fans out per shard —
-// and results are byte-identical to the mutable graph at any k.
+// adjacency, a shard-local label partition and frozen attribute
+// columns. The result satisfies GraphReader, so every evaluation entry
+// point runs on it unchanged — over k > 1 shards the engines' candidate
+// seeding fans out per shard — and results are byte-identical to the
+// mutable graph at any k.
 // Sharding a *Sharded at the same k is a no-op.
 func Shard(g GraphReader, k int) *Sharded { return graph.Shard(g, k) }
 

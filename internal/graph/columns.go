@@ -34,12 +34,6 @@ type ShardColumns struct {
 	LabelOff []int32
 	// LabelIdx holds the owned nodes per label, ascending.
 	LabelIdx []NodeID
-	// BoundarySrc and BoundaryDst are the cross-shard out-edges in
-	// ascending (src,dst) order; sources are owned, targets are not.
-	BoundarySrc []NodeID
-	// BoundaryDst holds the boundary edge targets, parallel to
-	// BoundarySrc.
-	BoundaryDst []NodeID
 	// AttrOff, AttrKey and AttrVal are the attribute columns for owned
 	// nodes, keys sorted per node.
 	AttrOff []int32
@@ -80,18 +74,16 @@ func (s *Sharded) Columns() *ShardedColumns {
 	for si := range s.shards {
 		sh := &s.shards[si]
 		c.Shards[si] = ShardColumns{
-			N:           sh.n,
-			OutOff:      sh.outOff,
-			OutAdj:      sh.outAdj,
-			InOff:       sh.inOff,
-			InAdj:       sh.inAdj,
-			LabelOff:    sh.labelOff,
-			LabelIdx:    sh.labelIdx,
-			BoundarySrc: sh.boundarySrc,
-			BoundaryDst: sh.boundaryDst,
-			AttrOff:     sh.attrOff,
-			AttrKey:     sh.attrKey,
-			AttrVal:     sh.attrVal,
+			N:        sh.n,
+			OutOff:   sh.outOff,
+			OutAdj:   sh.outAdj,
+			InOff:    sh.inOff,
+			InAdj:    sh.inAdj,
+			LabelOff: sh.labelOff,
+			LabelIdx: sh.labelIdx,
+			AttrOff:  sh.attrOff,
+			AttrKey:  sh.attrKey,
+			AttrVal:  sh.attrVal,
 		}
 	}
 	return c
@@ -152,26 +144,15 @@ func ShardedFromColumns(c *ShardedColumns) (*Sharded, error) {
 		if len(sc.LabelIdx) != sc.N {
 			return nil, fmt.Errorf("graph: shard %d label index covers %d nodes, want %d", si, len(sc.LabelIdx), sc.N)
 		}
-		if len(sc.BoundaryDst) != len(sc.BoundarySrc) {
-			return nil, fmt.Errorf("graph: shard %d boundary arrays disagree: %d src, %d dst", si, len(sc.BoundarySrc), len(sc.BoundaryDst))
-		}
 		if err := checkNodeIDs(fmt.Sprintf("shard %d outAdj", si), sc.OutAdj, n); err != nil {
 			return nil, err
 		}
 		if err := checkNodeIDs(fmt.Sprintf("shard %d inAdj", si), sc.InAdj, n); err != nil {
 			return nil, err
 		}
-		if err := checkNodeIDs(fmt.Sprintf("shard %d boundaryDst", si), sc.BoundaryDst, n); err != nil {
-			return nil, err
-		}
 		for _, v := range sc.LabelIdx {
 			if int(v) < 0 || int(v) >= n || int(v)%k != si {
 				return nil, fmt.Errorf("graph: shard %d label index holds node %d it does not own", si, v)
-			}
-		}
-		for _, v := range sc.BoundarySrc {
-			if int(v) < 0 || int(v) >= n || int(v)%k != si {
-				return nil, fmt.Errorf("graph: shard %d boundary source %d not owned by it", si, v)
 			}
 		}
 		totalOut += len(sc.OutAdj)
@@ -182,15 +163,10 @@ func ShardedFromColumns(c *ShardedColumns) (*Sharded, error) {
 				labelOff: sc.LabelOff, labelIdx: sc.LabelIdx,
 				attrOff: sc.AttrOff, attrKey: sc.AttrKey, attrVal: sc.AttrVal,
 			},
-			csr:         csr{outOff: sc.OutOff, outAdj: sc.OutAdj, inOff: sc.InOff, inAdj: sc.InAdj},
-			boundarySrc: sc.BoundarySrc,
-			boundaryDst: sc.BoundaryDst,
+			csr: csr{outOff: sc.OutOff, outAdj: sc.OutAdj, inOff: sc.InOff, inAdj: sc.InAdj},
 		}
-		// Shard builds boundary and attribute columns by append (nil when
-		// empty); normalize for the FromColumns∘Columns identity.
-		if len(sh.boundarySrc) == 0 {
-			sh.boundarySrc, sh.boundaryDst = nil, nil
-		}
+		// Shard builds attribute columns by append (nil when empty);
+		// normalize for the FromColumns∘Columns identity.
 		if len(sh.attrKey) == 0 {
 			sh.attrKey, sh.attrVal = nil, nil
 		}

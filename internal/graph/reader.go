@@ -9,8 +9,7 @@ package graph
 //   - *Sharded, a hash-partitioned family of k immutable CSR shards built
 //     by Shard (Freeze is k = 1), with flat edge arrays, per-shard label
 //     partitions (merge-on-read global NodesWithLabel; at k = 1 the
-//     prebuilt partition itself, no mutex), frozen attribute columns and
-//     per-shard boundary arrays of cross-shard edges.
+//     prebuilt partition itself, no mutex) and frozen attribute columns.
 //
 // Engines written against Reader run unchanged on any backend — and on
 // future backends (persistent) that implement the same contract.

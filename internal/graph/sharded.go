@@ -22,10 +22,10 @@ import (
 //   - a per-shard label partition, ascending within the shard, so
 //     candidate seeding can scan shards independently (the
 //     shard-parallel materialization path in internal/simulation);
-//   - per-shard boundary arrays: the cross-shard out-edges (owner(u)=s,
-//     owner(v)≠s) in ascending (u,v) order — the edges a multi-machine
-//     placement has to ship between workers;
 //   - frozen attribute columns for the owned nodes.
+//
+// An edge (u,v) thus lives in shard u mod k's forward CSR and in shard
+// v mod k's reverse CSR.
 //
 // NodesWithLabel is partitioned with merge-on-read semantics: the global
 // ascending partition for a label is k-way-merged from the per-shard
@@ -34,8 +34,8 @@ import (
 // Apart from that cache a Sharded is immutable after construction and
 // safe for unsynchronized concurrent use.
 //
-// At k = 1 the one shard holds every node at its own id and there is no
-// boundary, so the readers skip the shard arithmetic and NodesWithLabel
+// At k = 1 the one shard holds every node at its own id, so the readers
+// skip the shard arithmetic and NodesWithLabel
 // returns the prebuilt partition with no lock and no cache.
 type Sharded struct {
 	nodeHeader // nodeLabel is global: Label(v) must not pay a shard hop
@@ -55,11 +55,6 @@ type shard struct {
 
 	nodeColumns
 	csr
-
-	// Boundary arrays: cross-shard out-edges in ascending (src,dst)
-	// order. boundarySrc[i] is owned by this shard, boundaryDst[i] is not.
-	boundarySrc []NodeID
-	boundaryDst []NodeID
 }
 
 // Freeze returns the single-shard snapshot of r, Shard(r, 1): one CSR
@@ -152,39 +147,8 @@ func shardOf(r Reader, k int, prev *Sharded, dirty [][]int32) (*Sharded, int) {
 			sh.n, sh.nodeColumns = old.n, old.nodeColumns
 		}
 		sh.csr = buildCSR(r, si, k, sh.n, from, list)
-		sh.boundarySrc, sh.boundaryDst = boundary(&sh.csr, si, k)
 	}
 	return s, shared
-}
-
-// boundary extracts partition si of k's cross-shard out-edges from its
-// CSR, in ascending (src,dst) order — which falls out of the ascending
-// owned-node walk over sorted out-lists. Counting first sizes the arrays
-// exactly; a shard with no such edge has nil arrays, and at k = 1 no
-// edge can cross, so the O(|E|) scan is skipped.
-func boundary(c *csr, si, k int) (src, dst []NodeID) {
-	if k == 1 {
-		return nil, nil
-	}
-	cross := 0
-	for _, w := range c.outAdj {
-		if int(w)%k != si {
-			cross++
-		}
-	}
-	if cross == 0 {
-		return nil, nil
-	}
-	src, dst = make([]NodeID, 0, cross), make([]NodeID, 0, cross)
-	for li := 0; li+1 < len(c.outOff); li++ {
-		for _, w := range c.outAdj[c.outOff[li]:c.outOff[li+1]] {
-			if int(w)%k != si {
-				src = append(src, NodeID(li*k+si))
-				dst = append(dst, w)
-			}
-		}
-	}
-	return src, dst
 }
 
 // Thaw converts the partitions back to a mutable *Graph. Mutating the
@@ -225,23 +189,6 @@ func (s *Sharded) ShardNodesWithLabel(si int, l LabelID) []NodeID {
 		return nil
 	}
 	return sh.labelIdx[lo:hi:hi]
-}
-
-// Boundary returns shard si's cross-shard out-edges — src owned by si,
-// dst owned elsewhere — in ascending (src,dst) order. Read-only.
-func (s *Sharded) Boundary(si int) (src, dst []NodeID) {
-	sh := &s.shards[si]
-	return sh.boundarySrc, sh.boundaryDst
-}
-
-// CrossEdges returns the total number of cross-shard edges: the
-// communication volume a multi-machine placement of these shards pays.
-func (s *Sharded) CrossEdges() int {
-	total := 0
-	for si := range s.shards {
-		total += len(s.shards[si].boundarySrc)
-	}
-	return total
 }
 
 // Interner exposes the label interner (a clone of the source's, so label
@@ -433,8 +380,7 @@ func (s *Sharded) Edges(fn func(u, v NodeID) bool) {
 
 // String summarizes the partitioning.
 func (s *Sharded) String() string {
-	return fmt.Sprintf("sharded{k=%d |V|=%d |E|=%d cross=%d}",
-		s.k, s.NumNodes(), s.numEdges, s.CrossEdges())
+	return fmt.Sprintf("sharded{k=%d |V|=%d |E|=%d}", s.k, s.NumNodes(), s.numEdges)
 }
 
 // ComputeStats gathers Stats for the sharded graph.

@@ -158,7 +158,7 @@ func TestShardedMatchesGraph(t *testing.T) {
 }
 
 // TestFrozenMatchesGraph checks every Reader method of Freeze(g), the
-// k=1 fast path (no modulo, no merge cache, no boundary), against the
+// k=1 fast path (no modulo, no merge cache), against the
 // mutable graph.
 func TestFrozenMatchesGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -236,50 +236,56 @@ func TestFreezeThawFreezeIdentity(t *testing.T) {
 	}
 }
 
-// TestShardBoundaryInvariants: the per-shard boundary arrays must hold
-// exactly the cross-shard edges, in ascending (src,dst) order, with src
-// owned by the shard; internal + cross edges must sum to |E|.
+// TestShardBoundaryInvariants pins where every edge lives: (u,v) sits
+// in shard u mod k's forward CSR and in shard v mod k's reverse CSR, at
+// the owner's local index, and the shards together hold |E| entries in
+// each direction — so an edge crossing shards is stored on both sides
+// and nowhere else.
 func TestShardBoundaryInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	g := randomShardGraph(rng, 50, 180)
 	for _, k := range shardCounts {
-		s := Shard(g, k)
-		wantCross := 0
-		g.Edges(func(u, v NodeID) bool {
-			if int(u)%s.NumShards() != int(v)%s.NumShards() {
-				wantCross++
-			}
-			return true
-		})
-		if s.CrossEdges() != wantCross {
-			t.Fatalf("k=%d: CrossEdges=%d, want %d", k, s.CrossEdges(), wantCross)
-		}
-		total := 0
-		for si := 0; si < s.NumShards(); si++ {
-			src, dst := s.Boundary(si)
-			if len(src) != len(dst) {
-				t.Fatalf("k=%d shard %d: boundary arrays out of sync", k, si)
-			}
-			total += len(src)
-			for i := range src {
-				if s.ShardOf(src[i]) != si {
-					t.Fatalf("k=%d shard %d: boundary src %d not owned", k, si, src[i])
-				}
-				if s.ShardOf(dst[i]) == si {
-					t.Fatalf("k=%d shard %d: boundary dst %d is local", k, si, dst[i])
-				}
-				if !g.HasEdge(src[i], dst[i]) {
-					t.Fatalf("k=%d shard %d: boundary edge (%d,%d) not in G", k, si, src[i], dst[i])
-				}
-				if i > 0 && (src[i] < src[i-1] || (src[i] == src[i-1] && dst[i] <= dst[i-1])) {
-					t.Fatalf("k=%d shard %d: boundary not ascending at %d", k, si, i)
-				}
-			}
-		}
-		if total != wantCross {
-			t.Fatalf("k=%d: boundary arrays hold %d edges, want %d", k, total, wantCross)
+		if msg := partitionDiff(g, Shard(g, k)); msg != "" {
+			t.Fatalf("k=%d: %s", k, msg)
 		}
 	}
+}
+
+// partitionDiff checks s's edge placement against g (see
+// TestShardBoundaryInvariants) and describes the first violation, or
+// returns "".
+func partitionDiff(g Reader, s *Sharded) string {
+	k := s.NumShards()
+	outs, ins := 0, 0
+	for si := range s.shards {
+		outs += len(s.shards[si].outAdj)
+		ins += len(s.shards[si].inAdj)
+	}
+	if outs != g.NumEdges() || ins != g.NumEdges() {
+		return fmt.Sprintf("shards hold %d forward and %d reverse entries, want %d each", outs, ins, g.NumEdges())
+	}
+	msg := ""
+	g.Edges(func(u, v NodeID) bool {
+		fw, fl := &s.shards[int(u)%k], int(u)/k
+		rv, rl := &s.shards[int(v)%k], int(v)/k
+		if !containsNode(fw.outAdj[fw.outOff[fl]:fw.outOff[fl+1]], v) {
+			msg = fmt.Sprintf("edge (%d,%d) missing from shard %d's forward CSR", u, v, int(u)%k)
+		} else if !containsNode(rv.inAdj[rv.inOff[rl]:rv.inOff[rl+1]], u) {
+			msg = fmt.Sprintf("edge (%d,%d) missing from shard %d's reverse CSR", u, v, int(v)%k)
+		}
+		return msg == ""
+	})
+	return msg
+}
+
+// containsNode reports whether v occurs in list.
+func containsNode(list []NodeID, v NodeID) bool {
+	for _, w := range list {
+		if w == v {
+			return true
+		}
+	}
+	return false
 }
 
 // TestShardPerShardLabelPartitions: shard partitions must tile the global

@@ -256,8 +256,7 @@ func (m *Metrics) WriteText(w io.Writer) {
 		counter("gvserve_checkpoint_errors_total", "Checkpoint attempts that failed (the previous checkpoint and full WAL remain).", m.checkpointErrors.Load())
 		counter("gvserve_checkpoint_ns_total", "Cumulative checkpoint write time in nanoseconds.", m.checkpointNs.Load())
 		cs := m.store.CheckpointStats()
-		counter("gvserve_checkpoint_shards_written_total", "Shard section files rewritten by checkpoints.", cs.ShardsWritten.Load())
-		counter("gvserve_checkpoint_shards_skipped_total", "Clean shard section files carried over unchanged by incremental checkpoints.", cs.ShardsSkipped.Load())
+		counter("gvserve_checkpoint_shards_written_total", "Shard part files written by checkpoints (k per checkpoint).", cs.ShardsWritten.Load())
 		counter("gvserve_checkpoint_bytes_total", "Bytes written by checkpoints (part files plus manifests).", cs.BytesWritten.Load())
 		counter("gvserve_checkpoint_parts_removed_total", "Superseded or orphaned checkpoint part files garbage-collected.", cs.PartsRemoved.Load())
 		gauge("gvserve_recovery_remat_skipped", "1 when boot restored view extensions from the checkpoint and skipped rematerialization.", m.recoveryRematSkipped.Load())

@@ -409,7 +409,6 @@ func TestCheckpointShardMetricsExported(t *testing.T) {
 	text := scrapeMetrics(t, hs.URL)
 	for _, metric := range []string{
 		"gvserve_checkpoint_shards_written_total",
-		"gvserve_checkpoint_shards_skipped_total",
 		"gvserve_checkpoint_bytes_total",
 		"gvserve_checkpoint_parts_removed_total",
 	} {

@@ -109,8 +109,8 @@ func writeExtsPart(pw *partWriter, seq uint64, exts []ExtensionData) {
 }
 
 // readExtsPart decodes an extensions part. Concatenated columns are
-// re-sliced with capped capacity, so (in zero-copy mode) a later append
-// through a decoded row reallocates instead of writing into the mapping.
+// re-sliced with capped capacity, so a later append through a decoded
+// row reallocates instead of writing into its neighbour.
 func readExtsPart(pr *partReader) ([]ExtensionData, error) {
 	count := pr.ru64(ptagExtCount)
 	if pr.err == nil && count > maxExtCount {

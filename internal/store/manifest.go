@@ -2,15 +2,15 @@ package store
 
 // The per-shard checkpoint layout: a small MANIFEST file naming one
 // global part (labels, categorical keys, node→label column), one part
-// per shard (node count, CSR in both directions, label partition,
-// boundary arrays and attribute columns) and optionally one
-// extensions part (the materialized views, extensions.go). The
-// manifest rename is the single atomic commit point of a checkpoint:
-// part files are immutable once written and named by the checkpoint
-// sequence that wrote them, so an incremental checkpoint publishes a
-// new manifest referencing a mix of freshly written parts (the dirty
-// shards) and parts carried over from earlier checkpoints (the clean
-// ones). A part file not referenced by the committed manifest is
+// per shard (node count, CSR in both directions, label partition and
+// attribute columns) and optionally one extensions part (the
+// materialized views, extensions.go). The manifest rename is the
+// single atomic commit point of a checkpoint: part files are immutable
+// once written and named by the checkpoint sequence that wrote them.
+// Every checkpoint writes all of its parts under its own sequence;
+// manifests of earlier builds may still reference parts of older
+// sequences (they carried clean shards over), and the reader accepts
+// them. A part file not referenced by the committed manifest is
 // garbage from a crashed or superseded checkpoint and is removed by
 // the next Open/Checkpoint.
 //
@@ -57,7 +57,7 @@ const maxShardCount = 1 << 20
 // kindFrozen manifest is the single-shard layout of earlier builds,
 // whose shard part carries no node count and no boundary sections. It
 // is still read, into the same one-shard backend, and the next
-// checkpoint rewrites it whole as kindSharded.
+// checkpoint rewrites it as kindSharded.
 const (
 	kindFrozen  = 1
 	kindSharded = 2
@@ -237,9 +237,7 @@ func columnsOf(g graph.Reader) *graph.ShardedColumns {
 }
 
 // writeGlobalPart emits the label-universe columns shared by every
-// shard. These change only when the node set or label universe does —
-// never under edge updates — so incremental checkpoints carry the
-// global part over untouched.
+// shard.
 func writeGlobalPart(pw *partWriter, c *graph.ShardedColumns, seq uint64) {
 	pw.header(roleGlobal, seq)
 	pw.pstrings(ptagLabels, c.Labels)
@@ -257,8 +255,6 @@ func writeShardPart(pw *partWriter, sc *graph.ShardColumns, seq uint64) {
 	putPI32s(pw, ptagInAdj, sc.InAdj)
 	putPI32s(pw, ptagLabelOff, sc.LabelOff)
 	putPI32s(pw, ptagLabelIdx, sc.LabelIdx)
-	putPI32s(pw, ptagBoundSrc, sc.BoundarySrc)
-	putPI32s(pw, ptagBoundDst, sc.BoundaryDst)
 	putPI32s(pw, ptagAttrOff, sc.AttrOff)
 	pw.pstrings(ptagAttrKey, sc.AttrKey)
 	pw.pi64s(ptagAttrVal, sc.AttrVal)
@@ -295,47 +291,24 @@ func writePartFile(dir string, e partEntry, fill func(pw *partWriter)) (partEntr
 	return e, nil
 }
 
-// readPart loads one manifest-referenced part image, mapped read-only
-// under Options.Mmap (zero-copy column adoption) and read into memory
-// otherwise.
-func readPart(dir string, e partEntry, useMmap bool) (*partReader, error) {
-	path := filepath.Join(dir, e.name())
-	if useMmap && mmapSupported {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		st, err := f.Stat()
-		if err == nil && st.Size() != e.size {
-			err = fmt.Errorf("store: %s is %d bytes, manifest says %d", e.name(), st.Size(), e.size)
-		}
-		var data []byte
-		if err == nil {
-			data, err = mmapFile(f, e.size)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, err
-		}
-		return newPartReader(data, e.role, e.seq, true), nil
-	}
-	data, err := os.ReadFile(path)
+// readPart reads one manifest-referenced part image into memory and
+// checks its length against the manifest.
+func readPart(dir string, e partEntry) (*partReader, error) {
+	data, err := os.ReadFile(filepath.Join(dir, e.name()))
 	if err != nil {
 		return nil, err
 	}
 	if int64(len(data)) != e.size {
 		return nil, fmt.Errorf("store: %s is %d bytes, manifest says %d", e.name(), len(data), e.size)
 	}
-	return newPartReader(data, e.role, e.seq, false), nil
+	return newPartReader(data, e.role, e.seq), nil
 }
 
 // loadManifestGraph assembles the checkpointed backend (and, when
 // present, the serialized view extensions) from a committed manifest.
-func loadManifestGraph(dir string, m *manifest, useMmap bool) (*graph.Sharded, []ExtensionData, error) {
+func loadManifestGraph(dir string, m *manifest) (*graph.Sharded, []ExtensionData, error) {
 	ge, _ := m.global()
-	gpr, err := readPart(dir, ge, useMmap)
+	gpr, err := readPart(dir, ge)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -362,7 +335,7 @@ func loadManifestGraph(dir string, m *manifest, useMmap bool) (*graph.Sharded, [
 	}
 	for i := 0; i < m.k; i++ {
 		se, _ := m.shard(i)
-		pr, err := readPart(dir, se, useMmap)
+		pr, err := readPart(dir, se)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -378,9 +351,11 @@ func loadManifestGraph(dir string, m *manifest, useMmap bool) (*graph.Sharded, [
 		sc.InAdj = readPI32s[graph.NodeID](pr, ptagInAdj)
 		sc.LabelOff = readPI32s[int32](pr, ptagLabelOff)
 		sc.LabelIdx = readPI32s[graph.NodeID](pr, ptagLabelIdx)
-		if !legacy {
-			sc.BoundarySrc = readPI32s[graph.NodeID](pr, ptagBoundSrc)
-			sc.BoundaryDst = readPI32s[graph.NodeID](pr, ptagBoundDst)
+		if !legacy && pr.format == 1 {
+			// Format-1 shard parts carry the boundary arrays this
+			// build no longer keeps: checksummed, then dropped.
+			readPI32s[graph.NodeID](pr, ptagBoundSrc)
+			readPI32s[graph.NodeID](pr, ptagBoundDst)
 		}
 		sc.AttrOff = readPI32s[int32](pr, ptagAttrOff)
 		sc.AttrKey = pr.rstrings(ptagAttrKey)
@@ -396,7 +371,7 @@ func loadManifestGraph(dir string, m *manifest, useMmap bool) (*graph.Sharded, [
 
 	var exts []ExtensionData
 	if ee, ok := m.exts(); ok {
-		pr, err := readPart(dir, ee, useMmap)
+		pr, err := readPart(dir, ee)
 		if err != nil {
 			return nil, nil, err
 		}

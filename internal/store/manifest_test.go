@@ -1,15 +1,15 @@
 package store
 
-// Tests of the per-shard checkpoint layout: incremental rewrites touch
-// only dirty shards, the manifest rename is the single commit point
-// (crash windows on either side recover cleanly), a legacy kindFrozen
-// manifest still opens, a legacy single-file snapshot is refused rather
-// than mistaken for a fresh directory,
-// extensions round-trip exactly, and zero-copy mmap loads are
-// indistinguishable from buffered reads.
+// Tests of the per-shard checkpoint layout: every checkpoint writes
+// every part under its own sequence, the manifest rename is the single
+// commit point (crash windows and failed writes on either side recover
+// cleanly), legacy kindFrozen and format-1 sharded data dirs still
+// open, a legacy single-file snapshot is refused rather than mistaken
+// for a fresh directory, and extensions round-trip exactly.
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -35,11 +35,11 @@ func partNames(t *testing.T, dir string) []string {
 	return names
 }
 
-// TestIncrementalCheckpointRewritesDirtyShardsOnly is the acceptance
-// criterion: after a batch touching a single shard, the next checkpoint
-// rewrites exactly that shard's part file plus the manifest — every
-// clean shard (and the global part) is carried over by reference.
-func TestIncrementalCheckpointRewritesDirtyShardsOnly(t *testing.T) {
+// TestCheckpointWritesEveryPart: a checkpoint after a batch touching a
+// single shard still writes the global part and every shard part under
+// the new sequence, the previous sequence's parts are collected, and
+// the result loads as the graph it was handed.
+func TestCheckpointWritesEveryPart(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
@@ -51,65 +51,38 @@ func TestIncrementalCheckpointRewritesDirtyShardsOnly(t *testing.T) {
 	if err := s.Checkpoint(graph.Shard(g, k), nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	before := partNames(t, dir)
-	if got := s.CheckpointStats().ShardsWritten.Load(); got != k {
-		t.Fatalf("full checkpoint wrote %d shards, want %d", got, k)
-	}
-
-	// One edge whose endpoints both live in shard 0 (0 mod 3 == 3 mod 3).
-	batch := []view.EdgeUpdate{{From: 0, To: 3}}
-	if err := s.Append(batch); err != nil {
+	// One edge whose endpoints both live in shard 0 (0 mod 3 == 6 mod 3).
+	if err := s.Append([]view.EdgeUpdate{{From: 0, To: 6}}); err != nil {
 		t.Fatal(err)
 	}
-	g.AddEdge(0, 3)
+	g.AddEdge(0, 6)
 	if err := s.Checkpoint(graph.Shard(g, k), nil, 2); err != nil {
 		t.Fatal(err)
 	}
 	st := s.CheckpointStats()
-	if w, sk := st.ShardsWritten.Load(), st.ShardsSkipped.Load(); w != k+1 || sk != k-1 {
-		t.Fatalf("incremental checkpoint: shards written %d (want %d), skipped %d (want %d)", w, k, w-3, k-1)
+	if w, sk := st.ShardsWritten.Load(), st.ShardsSkipped.Load(); w != 2*k || sk != 0 {
+		t.Fatalf("two checkpoints: shards written %d (want %d), skipped %d (want 0)", w, 2*k, sk)
 	}
-	after := partNames(t, dir)
-	// The global part and the two clean shard parts keep their seq-1
-	// names; shard 0 moved to seq 2 and its seq-1 file was collected.
-	carried := 0
-	for _, n := range before {
-		for _, m := range after {
-			if n == m {
-				carried++
-			}
-		}
-	}
-	if carried != k { // global-1 + shard-1-1 + shard-2-1
-		t.Fatalf("carried %d of %v over to %v, want %d untouched parts", carried, before, after, k)
-	}
-	wantNew := "shard-0-2.part"
-	found := false
-	for _, n := range after {
-		if n == wantNew {
-			found = true
-		}
-	}
-	if !found || len(after) != len(before) {
-		t.Fatalf("after incremental checkpoint parts = %v, want %v with shard-0-1 replaced by %s", after, before, wantNew)
+	want := []string{"global-2.part", "shard-0-2.part", "shard-1-2.part", "shard-2-2.part"}
+	if got := partNames(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("parts after the second checkpoint: %v, want %v", got, want)
 	}
 
-	// The committed result must still load identically.
 	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
 	if !reflect.DeepEqual(s2.Base(), graph.Shard(g, k)) {
-		t.Fatal("incrementally checkpointed base differs from a full shard of the same graph")
+		t.Fatal("checkpointed base differs from a fresh shard of the same graph")
 	}
 	if s2.BaseVersion() != 2 {
 		t.Fatalf("BaseVersion = %d, want 2", s2.BaseVersion())
 	}
 }
 
-// TestCheckpointKindChangeForcesFullRewrite: switching backends (or
-// shard counts) between checkpoints cannot reuse parts.
+// TestCheckpointKindChangeForcesFullRewrite: switching shard counts
+// between checkpoints leaves no part of the old layout behind.
 func TestCheckpointKindChangeForcesFullRewrite(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -147,21 +120,7 @@ func TestCheckpointKindChangeForcesFullRewrite(t *testing.T) {
 // open into exactly the backend Freeze builds today, and the next
 // checkpoint must rewrite every part under a kindSharded manifest.
 func TestLegacyFrozenLayoutOpens(t *testing.T) {
-	src := filepath.Join("testdata", "legacy-frozen-k1")
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir := copyFixture(t, "legacy-frozen-k1")
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("legacy data dir does not open: %v", err)
@@ -212,6 +171,119 @@ func TestLegacyFrozenLayoutOpens(t *testing.T) {
 	if !reflect.DeepEqual(s2.Base(), graph.Shard(g, 1)) {
 		t.Fatal("rewritten checkpoint differs from Shard(g, 1)")
 	}
+}
+
+// TestLegacyBoundaryLayoutOpens: testdata/sharded-k3-boundary was
+// written by the last build with format-1 shard parts, which carry the
+// boundary arrays, and with dirty-shard carry-over: Shard(richGraph(), 3)
+// with crashViews' extensions at write clock 5, then a checkpoint at
+// write clock 6 after the edge (0,6), which rewrote only shard 0 and
+// the extensions, so the manifest mixes seqs 1 and 2; then one WAL
+// record. It must open into exactly the backend Shard builds today, and
+// the next checkpoint must write every part in format 2 under one seq.
+func TestLegacyBoundaryLayoutOpens(t *testing.T) {
+	dir := copyFixture(t, "sharded-k3-boundary")
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := decodeManifest(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seqs := partSeqs(m); !reflect.DeepEqual(seqs, map[uint64]bool{1: true, 2: true}) {
+		t.Fatalf("fixture manifest part seqs %v, want a mix of 1 and 2", seqs)
+	}
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("format-1 sharded data dir does not open: %v", err)
+	}
+	defer s.Close()
+	g := richGraph()
+	g.AddEdge(0, 6)
+	if !reflect.DeepEqual(s.Base(), graph.Shard(g, 3)) || s.BaseVersion() != 6 {
+		t.Fatal("format-1 base differs from Shard(g, 3)")
+	}
+	vs := crashViews()
+	x, ok := s.BaseExtensions(vs)
+	if !ok {
+		t.Fatal("format-1 extensions did not bind")
+	}
+	requireSameExtensions(t, x, materialize(g, vs))
+	if want := [][]view.EdgeUpdate{{{From: 0, To: 2}}}; !reflect.DeepEqual(s.Tail(), want) {
+		t.Fatalf("format-1 tail %v, want %v", s.Tail(), want)
+	}
+
+	g.AddEdge(0, 2)
+	if err := s.Checkpoint(graph.Shard(g, 3), materialize(g, vs), 7); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = os.ReadFile(filepath.Join(dir, manifestName)); err != nil {
+		t.Fatal(err)
+	}
+	if m, err = decodeManifest(data); err != nil {
+		t.Fatal(err)
+	}
+	if seqs := partSeqs(m); !reflect.DeepEqual(seqs, map[uint64]bool{3: true}) {
+		t.Fatalf("checkpoint after a format-1 open wrote part seqs %v, want only 3", seqs)
+	}
+	for _, e := range m.parts {
+		image, err := os.ReadFile(filepath.Join(dir, e.name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pr := newPartReader(image, e.role, e.seq); pr.err != nil || pr.format != partFormat {
+			t.Fatalf("%s: format %d (%v), want %d", e.name(), pr.format, pr.err, partFormat)
+		}
+	}
+	want := []string{"exts-3.part", "global-3.part", "shard-0-3.part", "shard-1-3.part", "shard-2-3.part"}
+	if got := partNames(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("parts after the rewrite: %v, want %v", got, want)
+	}
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if !reflect.DeepEqual(s2.Base(), graph.Shard(g, 3)) || s2.BaseVersion() != 7 {
+		t.Fatal("rewritten checkpoint differs from Shard(g, 3)")
+	}
+	x2, ok := s2.BaseExtensions(vs)
+	if !ok {
+		t.Fatal("rewritten extensions did not bind")
+	}
+	requireSameExtensions(t, x2, materialize(g, vs))
+}
+
+// copyFixture copies testdata/<name> into a fresh directory, so a test
+// can open and checkpoint it without touching the checked-in files.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
+	src := filepath.Join("testdata", name)
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// partSeqs returns the set of sequences m's parts were written at.
+func partSeqs(m *manifest) map[uint64]bool {
+	seqs := map[uint64]bool{}
+	for _, e := range m.parts {
+		seqs[e.seq] = true
+	}
+	return seqs
 }
 
 // TestLegacySnapshotRefused: a data directory holding a single-file
@@ -339,50 +411,6 @@ func TestCheckpointWithoutExtensions(t *testing.T) {
 	}
 }
 
-// TestMmapLoad: a zero-copy (mmap) load is indistinguishable from a
-// buffered one, graph and extensions alike, for both backends.
-func TestMmapLoad(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("no mmap on this platform")
-	}
-	g := richGraph()
-	vs := crashViews()
-	x := materialize(g, vs)
-	for _, backend := range []struct {
-		name string
-		r    graph.Reader
-	}{
-		{"frozen", graph.Freeze(g)},
-		{"sharded", graph.Shard(g, 3)},
-	} {
-		backend := backend
-		t.Run(backend.name, func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := Open(dir, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Checkpoint(backend.r, x, 1); err != nil {
-				t.Fatal(err)
-			}
-			s.Close()
-			s2, err := Open(dir, Options{Mmap: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			if !reflect.DeepEqual(s2.Base(), backend.r) {
-				t.Fatal("mmap-loaded base differs from the checkpointed backend")
-			}
-			got, ok := s2.BaseExtensions(vs)
-			if !ok {
-				t.Fatal("mmap load dropped the extensions")
-			}
-			requireSameExtensions(t, got, x)
-		})
-	}
-}
-
 // TestOrphanPartsRemovedAtOpen: part files a crashed checkpoint left
 // behind (written but never committed by a manifest rename), plus a
 // half-written manifest temporary, are collected at Open without
@@ -463,6 +491,143 @@ func TestCrashBeforeManifestRename(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s2.Tail(), appended) {
 		t.Fatalf("recovered tail %v, want the full appended log", s2.Tail())
+	}
+}
+
+// TestCheckpointAfterFailedCommitSync: a directory fsync that fails
+// right after the manifest rename leaves that manifest committed, so
+// the next checkpoint must take a fresh sequence. Reusing the committed
+// one would rewrite the very part files the manifest references — and,
+// when that checkpoint fails too, delete them.
+func TestCheckpointAfterFailedCommitSync(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	g := richGraph()
+	const k = 3
+	if err := s.Checkpoint(graph.Shard(g, k), nil, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	// From here the 2nd and 3rd directory fsyncs fail: the one after the
+	// next checkpoint's rename, then the one before the following
+	// checkpoint's manifest write.
+	orig := syncDir
+	t.Cleanup(func() { syncDir = orig })
+	calls := 0
+	syncDir = func(dir string) error {
+		calls++
+		if calls == 2 || calls == 3 {
+			return errors.New("injected directory fsync failure")
+		}
+		return orig(dir)
+	}
+	// Each checkpoint follows a logged update, as in the serving layer.
+	update := func(u, v graph.NodeID) {
+		if err := s.Append([]view.EdgeUpdate{{From: u, To: v}}); err != nil {
+			t.Fatal(err)
+		}
+		g.AddEdge(u, v)
+	}
+	update(0, 6)
+	committed := graph.Shard(g, k)
+	if err := s.Checkpoint(committed, nil, 2); err == nil {
+		t.Fatal("checkpoint with a failing post-rename fsync reported success")
+	}
+	update(1, 4)
+	if err := s.Checkpoint(graph.Shard(g, k), nil, 3); err == nil {
+		t.Fatal("checkpoint with a failing pre-manifest fsync reported success")
+	}
+	syncDir = orig
+
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("data dir no longer opens: %v", err)
+	}
+	defer s2.Close()
+	if !reflect.DeepEqual(s2.Base(), committed) || s2.BaseVersion() != 2 {
+		t.Fatalf("reopened at write clock %d, want the committed checkpoint at 2", s2.BaseVersion())
+	}
+	if err := s2.Checkpoint(graph.Shard(g, k), nil, 3); err != nil {
+		t.Fatalf("checkpoint after recovery: %v", err)
+	}
+}
+
+// TestCheckpointPartWriteFails stands in for a full disk: a directory
+// squatting on the name of the second shard part makes its creation
+// fail after the global and first shard parts were written. The
+// checkpoint must fail with the committed manifest, the WAL and the
+// recovered tail untouched and no uncommitted part file left behind;
+// once the obstacle is gone the directory reopens as it was and the
+// next checkpoint succeeds. (Short writes are not simulated.)
+func TestCheckpointPartWriteFails(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := richGraph()
+	const k = 3
+	base := graph.Shard(g, k)
+	if err := s.Checkpoint(base, nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	batch := []view.EdgeUpdate{{From: 0, To: 6}}
+	if err := s.Append(batch); err != nil {
+		t.Fatal(err)
+	}
+	maniBefore, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	walBefore, tailBefore := s.WALSize(), s.Tail()
+	obstacle := filepath.Join(dir, "shard-1-2.part")
+	if err := os.Mkdir(obstacle, 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	g.AddEdge(0, 6)
+	if err := s.Checkpoint(graph.Shard(g, k), nil, 2); err == nil {
+		t.Fatal("checkpoint over an unwritable part reported success")
+	}
+	if maniAfter, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || !bytes.Equal(maniAfter, maniBefore) {
+		t.Fatalf("failed checkpoint changed the MANIFEST (%v)", err)
+	}
+	if s.WALSize() != walBefore || !reflect.DeepEqual(s.Tail(), tailBefore) {
+		t.Fatalf("failed checkpoint changed the WAL: %d bytes, want %d", s.WALSize(), walBefore)
+	}
+	var files []string
+	for _, n := range partNames(t, dir) {
+		if fi, err := os.Stat(filepath.Join(dir, n)); err == nil && fi.Mode().IsRegular() {
+			files = append(files, n)
+		}
+	}
+	if want := []string{"global-1.part", "shard-0-1.part", "shard-1-1.part", "shard-2-1.part"}; !reflect.DeepEqual(files, want) {
+		t.Fatalf("part files after the failed checkpoint: %v, want only the committed %v", files, want)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.Remove(obstacle); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if !reflect.DeepEqual(s2.Base(), base) || s2.BaseVersion() != 1 {
+		t.Fatal("reopened base differs from the committed checkpoint")
+	}
+	if want := [][]view.EdgeUpdate{batch}; !reflect.DeepEqual(s2.Tail(), want) {
+		t.Fatalf("reopened tail %v, want %v", s2.Tail(), want)
+	}
+	if err := s2.Checkpoint(graph.Shard(g, k), nil, 2); err != nil {
+		t.Fatalf("checkpoint after removing the obstacle: %v", err)
 	}
 }
 

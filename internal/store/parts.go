@@ -8,9 +8,8 @@ package store
 // identity on the backend (reflect.DeepEqual, pinned by tests). Sections
 // appear in a fixed order per role and the reader demands exactly that
 // order, so a reordered or spliced file fails fast. Every payload is
-// kept 8-byte aligned so a file mapped into memory can hand its integer
-// columns straight to the graph backend without copying (see
-// loadManifestGraph and mmap_unix.go):
+// kept 8-byte aligned from the file start, so 64-bit columns sit on
+// their natural boundary within the image:
 //
 //	header (24 bytes):
 //	  magic "GVPART01" | format u32 LE | role u8 | pad u8[3] | seq u64 LE
@@ -20,30 +19,31 @@ package store
 //
 // The header and every section header are multiples of 8 bytes and each
 // payload is padded to one, so every payload starts 8-aligned from the
-// file start. Integer columns store raw little-endian element arrays;
-// on a little-endian host an aligned, checksum-verified payload is
-// reinterpreted in place (zero-copy) when the reader allows it, and
-// copied element-by-element otherwise. String sections are always
-// decoded by copy.
+// file start. Integer columns store raw little-endian element arrays,
+// decoded element by element; string sections are length-prefixed.
+//
+// Format 2 dropped the shard parts' boundary sections (tags 14 and 15,
+// which stay reserved); the reader still accepts format 1, whose shard
+// parts carry them.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"unsafe"
 )
 
 // partMagic opens every part file.
 var partMagic = [8]byte{'G', 'V', 'P', 'A', 'R', 'T', '0', '1'}
 
-// partFormat is the part-file format version; bump on layout change.
-const partFormat = 1
+// partFormat is the part-file format version the writer emits; bump on
+// layout change. The reader also accepts format 1.
+const partFormat = 2
 
 // Part roles: which slice of the checkpoint a part file carries.
 const (
 	roleGlobal = 1 // labels, categorical keys, node→label column
-	roleShard  = 2 // one shard's CSR + label partition + boundaries + attrs
+	roleShard  = 2 // one shard's CSR + label partition + attrs
 	roleExts   = 3 // materialized view extensions
 )
 
@@ -74,8 +74,8 @@ const (
 	ptagAttrKey   = 11 // strings: attribute keys, per-node sorted
 	ptagAttrVal   = 12 // i64s: attribute values
 	ptagShardN    = 13 // u64: owned node count (not in legacy kindFrozen parts)
-	ptagBoundSrc  = 14 // i32s: boundary edge sources (not in legacy kindFrozen parts)
-	ptagBoundDst  = 15 // i32s: boundary edge targets (not in legacy kindFrozen parts)
+	ptagBoundSrc  = 14 // i32s: boundary edge sources (format-1 kindSharded shard parts only; read and dropped)
+	ptagBoundDst  = 15 // i32s: boundary edge targets (format-1 kindSharded shard parts only; read and dropped)
 
 	ptagExtCount    = 32 // u64: number of serialized view extensions
 	ptagExtMeta     = 33 // strings: [view name, pattern fingerprint]
@@ -87,13 +87,6 @@ const (
 	ptagExtDistLens = 39 // i32s: per pattern edge, dist count (-1 = nil)
 	ptagExtDists    = 40 // i32s: concatenated shortest-path distances
 )
-
-// hostLittleEndian reports whether this machine stores integers in the
-// file byte order; only then can a mapped payload be adopted in place.
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
 
 // pad8 rounds n up to the next multiple of 8.
 func pad8(n int) int { return (n + 7) &^ 7 }
@@ -181,23 +174,21 @@ func (pw *partWriter) pstrings(tag uint32, s []string) {
 	pw.section(tag, len(s))
 }
 
-// partReader decodes aligned sections from one fully loaded (or mapped)
-// part image in writer order; the first error sticks and turns every
-// later call into a no-op returning zero values. With zc set, verified
-// integer payloads are reinterpreted in place instead of copied — the
-// data must then outlive every decoded slice (mmap for process
-// lifetime), and must never be written through.
+// partReader decodes aligned sections from one fully loaded part image
+// in writer order; the first error sticks and turns every later call
+// into a no-op returning zero values. format is the header's format
+// version (1 or 2).
 type partReader struct {
-	data []byte
-	off  int
-	err  error
-	zc   bool
+	data   []byte
+	off    int
+	err    error
+	format uint32
 }
 
 // newPartReader validates the part header against the manifest's role
 // and sequence expectations.
-func newPartReader(data []byte, role byte, seq uint64, zc bool) *partReader {
-	pr := &partReader{data: data, off: partHeaderLen, zc: zc && hostLittleEndian}
+func newPartReader(data []byte, role byte, seq uint64) *partReader {
+	pr := &partReader{data: data, off: partHeaderLen}
 	if len(data) < partHeaderLen {
 		pr.err = fmt.Errorf("store: part file truncated at %d bytes", len(data))
 		return pr
@@ -206,8 +197,9 @@ func newPartReader(data []byte, role byte, seq uint64, zc bool) *partReader {
 		pr.err = fmt.Errorf("store: not a part file (magic %q)", data[:8])
 		return pr
 	}
-	if v := binary.LittleEndian.Uint32(data[8:]); v != partFormat {
-		pr.err = fmt.Errorf("store: part format %d, this build reads %d", v, partFormat)
+	pr.format = binary.LittleEndian.Uint32(data[8:])
+	if pr.format != 1 && pr.format != partFormat {
+		pr.err = fmt.Errorf("store: part format %d, this build reads 1 and %d", pr.format, partFormat)
 		return pr
 	}
 	if data[12] != role {
@@ -296,9 +288,8 @@ func (pr *partReader) ru64(tag uint32) uint64 {
 	return binary.LittleEndian.Uint64(body)
 }
 
-// readPI32s reads a 32-bit integer column section: zero-copy when the
-// reader allows it and the payload is aligned, element-wise otherwise.
-// The result is always non-nil, matching the make-built columns the
+// readPI32s reads a 32-bit integer column section. The result is always
+// non-nil, matching the make-built columns the
 // FromColumns adopters expect (they nil out append-built fields).
 func readPI32s[T ~int32](pr *partReader, tag uint32) []T {
 	count, body := pr.section(tag)
@@ -308,12 +299,6 @@ func readPI32s[T ~int32](pr *partReader, tag uint32) []T {
 	if count < 0 || len(body) != count*4 {
 		pr.err = fmt.Errorf("store: part section %d holds %d bytes for %d elements", tag, len(body), count)
 		return nil
-	}
-	if count == 0 {
-		return make([]T, 0)
-	}
-	if pr.zc && uintptr(unsafe.Pointer(unsafe.SliceData(body)))%unsafe.Alignof(T(0)) == 0 {
-		return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(body))), count)
 	}
 	s := make([]T, count)
 	for i := range s {
@@ -332,12 +317,6 @@ func (pr *partReader) ri64s(tag uint32) []int64 {
 		pr.err = fmt.Errorf("store: part section %d holds %d bytes for %d elements", tag, len(body), count)
 		return nil
 	}
-	if count == 0 {
-		return make([]int64, 0)
-	}
-	if pr.zc && uintptr(unsafe.Pointer(unsafe.SliceData(body)))%unsafe.Alignof(int64(0)) == 0 {
-		return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(body))), count)
-	}
 	s := make([]int64, count)
 	for i := range s {
 		s[i] = int64(binary.LittleEndian.Uint64(body[i*8:]))
@@ -347,7 +326,6 @@ func (pr *partReader) ri64s(tag uint32) []int64 {
 
 // rstrings reads a string column section (nil when empty, matching the
 // append-built string columns of Freeze/Shard and Interner.Clone).
-// Strings are always copied: string headers cannot alias a mapping.
 func (pr *partReader) rstrings(tag uint32) []string {
 	count, body := pr.section(tag)
 	if pr.err != nil || count == 0 {

@@ -16,7 +16,7 @@ import (
 
 // richGraph builds a graph exercising every serialized column: several
 // labels, integer and categorical attributes, nodes with no attributes,
-// and enough edges that sharding produces boundary arrays.
+// and enough edges that sharding splits edges across shards.
 func richGraph() *graph.Graph {
 	g := graph.New()
 	labels := []string{"person", "site", "item", "tag"}
@@ -76,8 +76,8 @@ func TestSnapshotFrozenIdentity(t *testing.T) {
 	}
 }
 
-// TestSnapshotShardedIdentity: same identity for the sharded backend,
-// including boundary arrays, at several shard counts.
+// TestSnapshotShardedIdentity: same identity for the sharded backend at
+// several shard counts.
 func TestSnapshotShardedIdentity(t *testing.T) {
 	g := richGraph()
 	for _, k := range []int{1, 3, 8} {
@@ -115,7 +115,7 @@ func TestSnapshotEmptyGraph(t *testing.T) {
 // part, the global part or the extensions part, or truncating one
 // anywhere, must fail Open — checkpoints are atomic, so unlike a WAL
 // tail, damage is an error, not data. Every part is swept at k=1; at
-// k=3 a shard part with boundary arrays is swept too.
+// k=3 a shard part holding cross-shard edges is swept too.
 func TestSnapshotCorruptionDetected(t *testing.T) {
 	vs := crashViews()
 	for _, c := range []struct {

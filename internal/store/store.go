@@ -11,13 +11,11 @@ package store
 //	              its serialized view extensions and the tail of update
 //	              batches to replay;
 //	Append      — log an update batch before the serving layer
-//	              acknowledges it (durability per SyncPolicy), marking
-//	              the batch's shards dirty;
-//	Checkpoint  — write the dirty shards (plus the extensions) as fresh
-//	              part files, commit them with an atomic manifest
-//	              rename, and compact the WAL to empty. Clean shards
-//	              are carried over by reference — a checkpoint after a
-//	              small write burst rewrites only the touched shards.
+//	              acknowledges it (durability per SyncPolicy);
+//	Checkpoint  — write the graph it is handed (global part, every
+//	              shard part, plus the extensions) as fresh part files,
+//	              commit them with an atomic manifest rename, and
+//	              compact the WAL to empty.
 //
 // Crash safety of the checkpoint protocol: part files are written and
 // fsynced first under never-reused names, so until the manifest rename
@@ -38,7 +36,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -56,14 +53,10 @@ const (
 )
 
 // Options parameterizes Open. The zero value syncs every appended
-// record (SyncAlways) and reads part files into memory.
+// record (SyncAlways).
 type Options struct {
 	// Sync is the WAL durability policy for acknowledged appends.
 	Sync SyncPolicy
-	// Mmap maps part files read-only and adopts their integer columns
-	// in place (zero-copy load). The mappings live until process exit;
-	// ignored on platforms without mmap support.
-	Mmap bool
 }
 
 // CheckpointStats counts what checkpoints did, cumulatively since
@@ -72,11 +65,10 @@ type Options struct {
 type CheckpointStats struct {
 	// Checkpoints counts committed checkpoints.
 	Checkpoints atomic.Int64
-	// ShardsWritten counts shard part files freshly written (dirty or
-	// full rewrites).
+	// ShardsWritten counts shard part files written: k per checkpoint.
 	ShardsWritten atomic.Int64
-	// ShardsSkipped counts shard parts carried over by reference
-	// because no logged update touched them.
+	// ShardsSkipped is always 0: every checkpoint writes every shard
+	// part. It is kept for readers that still report it.
 	ShardsSkipped atomic.Int64
 	// BytesWritten counts part + manifest bytes written.
 	BytesWritten atomic.Int64
@@ -90,16 +82,9 @@ type CheckpointStats struct {
 // serving layer holds its write mutex across both); Base, BaseVersion,
 // BaseExtensions, Tail and the stats accessors are safe to call
 // anytime.
-//
-// Incremental contract: between two checkpoints the graph handed to
-// Checkpoint must differ from the previous one only through update
-// batches passed to Append (plus the recovered tail) — exactly what
-// the serving layer guarantees. A caller checkpointing an unrelated
-// graph of the same shape must call MarkAllDirty first.
 type Store struct {
-	dir  string
-	wal  *WAL
-	opts Options
+	dir string
+	wal *WAL
 
 	// base is the checkpointed backend found at Open (nil on a fresh
 	// directory) and baseVersion its write clock; tail holds the WAL
@@ -112,13 +97,10 @@ type Store struct {
 	tail        [][]view.EdgeUpdate
 	baseExts    []ExtensionData
 
-	// mu guards the dirty-shard bookkeeping shared by Append (marking)
-	// and Checkpoint (consuming); the caller already serializes those,
-	// but the lock keeps MarkAllDirty safe from any goroutine.
-	mu       sync.Mutex
-	man      *manifest        // guarded by mu; committed manifest, nil before the first checkpoint
-	dirty    map[int]struct{} // guarded by mu; shards touched since the last checkpoint
-	dirtyAll bool             // guarded by mu; next checkpoint must write everything
+	// man is the committed manifest, nil before the first checkpoint.
+	// Only Open and Checkpoint touch it, and the caller serializes
+	// Checkpoint.
+	man *manifest
 
 	stats CheckpointStats
 }
@@ -136,7 +118,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts, dirty: make(map[int]struct{})}
+	s := &Store{dir: dir}
 	// A leftover temporary means a checkpoint crashed before its rename;
 	// the committed manifest is still authoritative. The removal is
 	// fsynced so a later crash cannot resurrect it.
@@ -154,7 +136,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", maniPath, err)
 		}
-		g, exts, err := loadManifestGraph(dir, m, opts.Mmap)
+		g, exts, err := loadManifestGraph(dir, m)
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +156,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		} else if !os.IsNotExist(err) {
 			return nil, err
 		}
-		s.dirtyAll = true
 	}
 
 	wal, tail, err := OpenWAL(filepath.Join(dir, walName), opts.Sync)
@@ -182,11 +163,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.wal, s.tail = wal, tail
-	// The tail's updates are not reflected in the on-disk shards yet:
-	// they dirty the same shards a live Append would.
-	for _, batch := range tail {
-		s.markDirty(batch)
-	}
 	return s, nil
 }
 
@@ -219,124 +195,60 @@ func (s *Store) TailUpdates() int {
 }
 
 // Append logs one update batch ahead of acknowledgement (see
-// WAL.Append for the durability and rollback contract) and marks the
-// batch's shards dirty for the next incremental checkpoint.
-func (s *Store) Append(batch []view.EdgeUpdate) error {
-	if err := s.wal.Append(batch); err != nil {
-		return err
-	}
-	s.markDirty(batch)
-	return nil
-}
-
-// markDirty records which shards batch touches: an edge (u,v) changes
-// the forward CSR (and boundary arrays) of u's shard and the reverse
-// CSR of v's shard. Shard ownership is v mod k under the committed
-// manifest's k; without a manifest everything is dirty anyway.
-func (s *Store) markDirty(batch []view.EdgeUpdate) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dirtyAll || s.man == nil {
-		return
-	}
-	k := graph.NodeID(s.man.k)
-	for _, up := range batch {
-		if up.From >= 0 {
-			s.dirty[int(up.From%k)] = struct{}{}
-		}
-		if up.To >= 0 {
-			s.dirty[int(up.To%k)] = struct{}{}
-		}
-	}
-}
-
-// MarkAllDirty forces the next checkpoint to rewrite every part,
-// ignoring the incremental dirty set. Open leaves a fresh directory in
-// this state already; callers need it only to checkpoint
-// a graph that did not evolve from the previous checkpoint through
-// Append batches.
-func (s *Store) MarkAllDirty() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dirtyAll = true
-}
+// WAL.Append for the durability and rollback contract).
+func (s *Store) Append(batch []view.EdgeUpdate) error { return s.wal.Append(batch) }
 
 // Checkpoint atomically replaces the committed checkpoint with g (and,
 // when x is non-nil, its view extensions) at the given write-clock
-// version, then compacts the WAL: freshly written part files are
-// fsynced under never-reused names, a new manifest referencing them —
-// and referencing the untouched shards' existing parts — is committed
-// by tmp + fsync + rename + directory fsync, the log is truncated
-// (every logged record is covered by g), and superseded part files are
-// collected. On error before the manifest rename the previous
-// checkpoint and the full WAL remain authoritative.
+// version, then compacts the WAL: the global part and every shard part
+// are written and fsynced under the new sequence's never-reused names,
+// a new manifest referencing them is committed by tmp + fsync + rename
+// + directory fsync, the log is truncated (every logged record is
+// covered by g), and superseded part files are collected. On error
+// before the manifest rename the previous checkpoint and the full WAL
+// remain authoritative; once the rename succeeds the new manifest is,
+// even if a later step fails.
 func (s *Store) Checkpoint(g graph.Reader, x *view.Extensions, version uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	c := columnsOf(g)
-	old := s.man
-	full := s.dirtyAll || old == nil ||
-		old.kind != kindSharded || old.k != c.K || old.numNodes != len(c.NodeLabel)
 	var seq uint64 = 1
-	if old != nil {
-		seq = old.seq + 1
+	if s.man != nil {
+		seq = s.man.seq + 1
 	}
 	newMan := &manifest{
 		kind: kindSharded, k: c.K, seq: seq, version: version,
 		numNodes: len(c.NodeLabel), numEdges: c.NumEdges,
 	}
-	var written []partEntry
 	var bytes int64
 	fail := func(err error) error {
-		for _, e := range written {
+		for _, e := range newMan.parts {
 			os.Remove(filepath.Join(s.dir, e.name()))
 		}
 		return err
 	}
+	write := func(e partEntry, fill func(pw *partWriter)) error {
+		e, err := writePartFile(s.dir, e, fill)
+		if err != nil {
+			return err
+		}
+		newMan.parts = append(newMan.parts, e)
+		bytes += e.size
+		return nil
+	}
 
-	ge := partEntry{role: roleGlobal, seq: seq}
-	if full {
-		var err error
-		if ge, err = writePartFile(s.dir, ge, func(pw *partWriter) { writeGlobalPart(pw, c, seq) }); err != nil {
+	if err := write(partEntry{role: roleGlobal, seq: seq}, func(pw *partWriter) { writeGlobalPart(pw, c, seq) }); err != nil {
+		return fail(err)
+	}
+	for i := range c.Shards {
+		sc := &c.Shards[i]
+		if err := write(partEntry{role: roleShard, idx: i, seq: seq}, func(pw *partWriter) { writeShardPart(pw, sc, seq) }); err != nil {
 			return fail(err)
 		}
-		written = append(written, ge)
-		bytes += ge.size
-	} else {
-		ge, _ = old.global()
 	}
-	newMan.parts = append(newMan.parts, ge)
-
-	var wrote, skipped int64
-	for i := 0; i < c.K; i++ {
-		se := partEntry{role: roleShard, idx: i, seq: seq}
-		_, isDirty := s.dirty[i]
-		if full || isDirty {
-			var err error
-			i := i
-			if se, err = writePartFile(s.dir, se, func(pw *partWriter) { writeShardPart(pw, &c.Shards[i], seq) }); err != nil {
-				return fail(err)
-			}
-			written = append(written, se)
-			bytes += se.size
-			wrote++
-		} else {
-			se, _ = old.shard(i)
-			skipped++
-		}
-		newMan.parts = append(newMan.parts, se)
-	}
-
 	if x != nil {
 		data := snapshotExtensionData(x)
-		ee, err := writePartFile(s.dir, partEntry{role: roleExts, seq: seq},
-			func(pw *partWriter) { writeExtsPart(pw, seq, data) })
-		if err != nil {
+		if err := write(partEntry{role: roleExts, seq: seq}, func(pw *partWriter) { writeExtsPart(pw, seq, data) }); err != nil {
 			return fail(err)
 		}
-		written = append(written, ee)
-		bytes += ee.size
-		newMan.parts = append(newMan.parts, ee)
 	}
 
 	// The new parts must be durable directory entries before a manifest
@@ -354,18 +266,17 @@ func (s *Store) Checkpoint(g graph.Reader, x *view.Extensions, version uint64) e
 		os.Remove(tmp)
 		return fail(err)
 	}
+	// The rename is the commit point: from here the new manifest is
+	// authoritative even if a later step fails, so the next checkpoint
+	// must take a fresh sequence rather than rewrite (and on failure
+	// delete) the parts this manifest references.
+	s.man = newMan
+	s.stats.Checkpoints.Add(1)
+	s.stats.ShardsWritten.Add(int64(c.K))
+	s.stats.BytesWritten.Add(bytes + int64(len(image)))
 	if err := syncDir(s.dir); err != nil {
 		return err
 	}
-	// Committed: from here the new manifest is authoritative even if a
-	// later step fails.
-	s.man = newMan
-	s.dirty = make(map[int]struct{})
-	s.dirtyAll = false
-	s.stats.Checkpoints.Add(1)
-	s.stats.ShardsWritten.Add(wrote)
-	s.stats.ShardsSkipped.Add(skipped)
-	s.stats.BytesWritten.Add(bytes + int64(len(image)))
 
 	if err := s.wal.Reset(); err != nil {
 		return err
@@ -438,9 +349,7 @@ func (s *Store) SyncPolicy() SyncPolicy { return s.wal.policy }
 func (s *Store) SetFsyncObserver(fn func(time.Duration)) { s.wal.SetObserver(fn) }
 
 // Close flushes and closes the WAL. The checkpoint files need no
-// closing — they are only open during Open and Checkpoint (mmap
-// mappings deliberately live until process exit; the adopted columns
-// alias them).
+// closing — they are only open during Open and Checkpoint.
 func (s *Store) Close() error { return s.wal.Close() }
 
 // writeFileSync writes data to path and fsyncs the file.
@@ -463,8 +372,8 @@ func writeFileSync(path string, data []byte) error {
 }
 
 // syncDir fsyncs a directory so a just-renamed or just-removed entry
-// survives a crash.
-func syncDir(dir string) error {
+// survives a crash. A variable so tests can inject a failing fsync.
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

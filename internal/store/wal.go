@@ -1,6 +1,5 @@
 // Package store persists the serving state of graphviews: per-shard
-// checkpoint part files committed by a manifest (manifest.go, parts.go;
-// the legacy single-file codec lives on in snapshot.go for migration),
+// checkpoint part files committed by a manifest (manifest.go, parts.go),
 // serialized view extensions (extensions.go) and a write-ahead log of
 // edge updates (this file), combined by Store (store.go) into an
 // open → recover → append → checkpoint lifecycle with
